@@ -374,168 +374,6 @@ class Directory:
                                           is_write=True))
         return dirty
 
-    # -- coalesced (page-run) transactions ----------------------------------------
-
-    def acquire_page_run(self, page_addr: int, n_reads: int, n_writes: int,
-                         first_is_write: bool, agent_id: int,
-                         lines: Sequence[int], writes: Sequence[bool],
-                         page_size: int = units.PAGE_4K
-                         ) -> Tuple[List[LineState], int]:
-        """One directory transaction for a page run of misses.
-
-        A *page run* is a maximal slice of a (page, seq)-sorted miss
-        stream whose lines share one page: ``lines``/``writes`` list
-        the run's line addresses and write-intent in original ``seq``
-        order, and the ``(page_addr, n_reads, n_writes,
-        first_is_write)`` header summarizes the transaction the caller
-        compiled.  Per line the state transition, counter increment
-        and invalidation fan-out are exactly what the per-event
-        :meth:`get_shared`/:meth:`get_modified` pair would produce,
-        with one deliberate difference: **no FILL/UPGRADE events are
-        emitted** — the coalesced engine serves its fills inline, so
-        emitting here would double-serve them.  Writeback side effects
-        that carry tracking semantics (a dirty owner degraded by a
-        read, i.e. ``_share_dirty_owner``) still emit their
-        DIRTY_WRITEBACK events.
-
-        Returns ``(grants, invalidations)``: the state granted per
-        line in ``seq`` order (the same grant sequence — and hence the
-        same downstream fill/stall sequence — as the per-event loop)
-        and the number of other-agent copies invalidated.
-        """
-        self._check_home(page_addr)
-        if page_addr % page_size:
-            raise CoherenceError(f"{page_addr:#x} is not page aligned")
-        if len(lines) != len(writes):
-            raise CoherenceError("lines and writes must have equal length")
-        if not lines:
-            return [], 0
-        nw = sum(1 for w in writes if w)
-        if nw != n_writes or len(lines) - nw != n_reads:
-            raise CoherenceError(
-                f"page-run header says {n_reads}r/{n_writes}w, lines carry "
-                f"{len(lines) - nw}r/{nw}w")
-        if bool(writes[0]) != bool(first_is_write):
-            raise CoherenceError("first_is_write disagrees with writes[0]")
-        hi = page_addr + page_size
-        for line in lines:
-            if not page_addr <= line < hi:
-                raise CoherenceError(
-                    f"line {line:#x} outside page run at {page_addr:#x}")
-            if line % units.CACHE_LINE:
-                raise CoherenceError(f"{line:#x} is not line aligned")
-        grants: List[LineState] = []
-        invalidations = 0
-        for line, is_write in zip(lines, writes):
-            granted, inval = self._acquire_line(line, is_write, agent_id)
-            grants.append(granted)
-            invalidations += inval
-        return grants, invalidations
-
-    def acquire_page_runs(self, lines: Sequence[int],
-                          writes: Sequence[bool], agent_id: int) -> int:
-        """Compiled batch of :meth:`acquire_page_run` transactions.
-
-        ``lines``/``writes`` are the distinct missed lines of one
-        replay segment in (page, seq)-sorted order, so each
-        page-contiguous slice is one page run.  The per-line
-        transitions are identical to one :meth:`acquire_page_run` call
-        per run (same no-FILL contract); ``get_s``/``get_m`` counter
-        totals are charged once at the end, which is total-equivalent
-        because nothing observes the directory between the runs of one
-        segment commit.  The all-INVALID single-holder case — the only
-        shape the coalesced engine submits, since it bails out of
-        deferral on any directory residue — is resolved closed-form;
-        residue falls through to the generic per-line transition.
-        Returns the number of other-agent invalidations.
-        """
-        entries = self._entries
-        ent_get = entries.get
-        inv = LineState.INVALID
-        st_m = LineState.MODIFIED
-        st_read = (LineState.EXCLUSIVE if self.protocol.has_exclusive
-                   else LineState.SHARED)
-        read_owner = agent_id if st_read is LineState.EXCLUSIVE else None
-        make_entry = DirectoryEntry
-        n_s = n_m = 0
-        invalidations = 0
-        for line, is_write in zip(lines, writes):
-            entry = ent_get(line)
-            if entry is not None and entry.state is not inv:
-                _, k = self._acquire_line(line, is_write, agent_id)
-                invalidations += k
-                continue
-            if is_write:
-                n_m += 1
-                if entry is None:
-                    entries[line] = make_entry(st_m, agent_id, {agent_id})
-                else:
-                    entry.state = st_m
-                    entry.owner = agent_id
-                    entry.sharers.add(agent_id)
-            else:
-                n_s += 1
-                if entry is None:
-                    entries[line] = make_entry(st_read, read_owner,
-                                               {agent_id})
-                else:
-                    entry.state = st_read
-                    entry.owner = read_owner
-                    entry.sharers.add(agent_id)
-        if n_s:
-            self.counters.add("get_s", n_s)
-        if n_m:
-            self.counters.add("get_m", n_m)
-        return invalidations
-
-    def _acquire_line(self, line_addr: int, is_write: bool,
-                      agent_id: int) -> Tuple[LineState, int]:
-        """One line of a page-run acquisition (generic path).
-
-        State transitions, counters and invalidation fan-out mirror
-        :meth:`get_modified`/:meth:`get_shared`; the FILL/UPGRADE
-        emission is suppressed per the page-run contract.
-        """
-        entry = self._entry(line_addr)
-        if is_write:
-            self.counters.add("get_m")
-            holders = set(entry.sharers)
-            if entry.owner is not None:
-                holders.add(entry.owner)
-            inval = 0
-            for other in sorted(holders - {agent_id}):
-                self._invalidate_agent(other, line_addr)
-                inval += 1
-            entry.state = LineState.MODIFIED
-            entry.owner = agent_id
-            entry.sharers = {agent_id}
-            entry.check_invariants()
-            return LineState.MODIFIED, inval
-        self.counters.add("get_s")
-        if entry.state in (LineState.MODIFIED, LineState.EXCLUSIVE):
-            self._share_dirty_owner(line_addr, entry)
-        if entry.state is LineState.INVALID:
-            if self.protocol.has_exclusive:
-                entry.state = LineState.EXCLUSIVE
-                entry.owner = agent_id
-                entry.sharers = {agent_id}
-                granted = LineState.EXCLUSIVE
-            else:
-                entry.state = LineState.SHARED
-                entry.owner = None
-                entry.sharers = {agent_id}
-                granted = LineState.SHARED
-        elif entry.state is LineState.OWNED:
-            entry.sharers.add(agent_id)
-            granted = LineState.SHARED
-        else:
-            entry.state = LineState.SHARED
-            entry.owner = None
-            entry.sharers.add(agent_id)
-            granted = LineState.SHARED
-        entry.check_invariants()
-        return granted, 0
-
     # -- internals -----------------------------------------------------------------
 
     def _invalidate_agent(self, agent_id: Optional[int],

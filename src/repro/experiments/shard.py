@@ -37,6 +37,7 @@ import numpy as np
 from ..common import units
 from ..common.errors import ConfigError
 from ..common.stats import Counter
+from ..kona.runtime import ENGINES
 from ..workloads.trace import open_columnar
 
 #: The engine maintenance cadence (see ``repro.kona.engine._CADENCE``):
@@ -71,6 +72,9 @@ class ShardSpec:
         if self.chunk_size <= 0 or self.chunk_size % _CADENCE:
             raise ConfigError(f"chunk_size {self.chunk_size} must be a "
                               f"positive multiple of {_CADENCE}")
+        if self.engine not in ENGINES:
+            raise ConfigError(f"unknown run_trace engine {self.engine!r}; "
+                              f"choose one of {', '.join(ENGINES)}")
 
 
 @dataclass

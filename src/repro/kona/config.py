@@ -80,7 +80,10 @@ class KonaConfig:
     #: A classified 256-access segment is replayed access-by-access
     #: (instead of run/patch-resolved) when at least this fraction of
     #: it misses the CPU cache, i.e. when its pure-hit fraction falls
-    #: below ``1 - miss_replay_density``.
+    #: below ``1 - miss_replay_density``.  A replayed segment whose
+    #: realized hit fraction also stays below that gate turns on
+    #: sticky miss mode: the next segment is replayed without being
+    #: classified, until a segment's hits cross the gate again.
     miss_replay_density: float = 0.5
     #: Without the fused miss lane (tracing, extra agents, content
     #: shadow), leave vectorized mode when more than this fraction of
@@ -89,15 +92,8 @@ class KonaConfig:
     #: Re-enter vectorized mode only after a scalar chunk ran at at
     #: least this CPU-cache hit fraction.  The gap against
     #: ``batch_escape_density`` is the oscillation hysteresis (every
-    #: switch re-imports or re-exports the cache); the same fraction
-    #: also re-opens segment classification after a coalesced
-    #: all-miss stretch.
+    #: switch re-imports or re-exports the cache).
     batch_reenter_hits: float = 0.875
-    #: Grant replayed misses through one directory transaction per
-    #: page run (``engine="batched"`` honors this; the explicit
-    #: ``engine="coalesced"`` forces it on).  Results are
-    #: bit-identical either way — this is purely a speed knob.
-    coalesced_replay: bool = True
 
     # Resource management
     slab_batch: int = 4                     # slabs pre-allocated per request

@@ -150,8 +150,7 @@ class _FusedLane:
         "remote_read_ns", "prefetch", "eager", "aid", "coh_ns",
         "fmem_ns", "fmem_ns_exact", "fill_bg_ns", "has_remainder",
         "has_excl", "snoop_ns", "last_page",
-        "pageres", "pend", "p_dead", "p_lines", "p_writes",
-        "miss_mode", "miss_gate",
+        "pageres", "miss_mode", "miss_gate",
         "d_cache_hits", "d_cache_misses", "d_front_hits",
         "d_front_misses", "d_front_evictions", "d_front_upgrades",
         "d_get_s", "d_get_m", "d_put_m", "d_put_clean", "d_fmem_hits",
@@ -244,15 +243,8 @@ class _FusedLane:
             self.pageres = pageres
         else:
             self.pageres = None
-        # Coalesced-replay deferral state (see replay_coalesced):
-        # pending grants by tag, their (line, write) stream in seq
-        # order, and grants revoked again before the segment commit.
-        self.pend: set = set()
-        self.p_dead: list = []
-        self.p_lines: list = []
-        self.p_writes: list = []
-        # Sticky miss mode: set by replay_coalesced when a segment ran
-        # at effectively zero hits, letting the span driver skip
+        # Sticky miss mode: set by replay when a segment ran at
+        # effectively zero hits, letting the span driver skip
         # classification until the hit fraction recovers.
         self.miss_mode = False
         self.miss_gate = 1.0 - rt.config.miss_replay_density
@@ -802,440 +794,11 @@ class _FusedLane:
         # Nothing to patch in this mode; drop any snoop journal entries
         # so they don't leak into the next (reclassified) segment.
         front._mutations.clear()
+        # Sticky miss mode: skip classification while segments run at
+        # effectively zero hits (any dispatch choice is result-identical;
+        # this one only saves the classify).
+        self.miss_mode = hits < len(seg_tags) * self.miss_gate
         return stall
-
-    def replay_coalesced(self, seg_tags: np.ndarray, seg_w: np.ndarray,
-                         age0: int, stall: float, seq0: int = 0) -> float:
-        """Coalesced replay: one directory transaction per page run.
-
-        Misses resolve against the live front-end exactly like
-        :meth:`replay`, but the directory grant of each miss is
-        *deferred*: the loop records the ``(line, write)`` stream in
-        original ``seq`` order and the segment commit
-        (:meth:`_commit_pending`) sorts it by page with a stable
-        argsort — yielding ``(page, seq)`` keys — and applies each
-        page-contiguous run through ``Directory.acquire_page_runs``.
-        Per-event stalls, account charges and capture records keep the
-        loop's ``seq`` order and the one shared float chain, so
-        fingerprints, ``elapsed_ns``, counters and ``FaultLog``
-        aggregates are bit-identical to :meth:`replay` (which remains
-        the differential oracle).
-
-        Deferral is only legal while no event can observe a missing
-        grant, so the segment falls back to per-event replay when:
-
-        * two events touch the same line (an MSI read-then-write pair
-          would upgrade against the not-yet-written entry);
-        * a prefetcher is attached (its fills race the deferral and
-          defeat the per-page residency index);
-        * the FMem policy is not the stock LRU (the inlined hit-path
-          touch below assumes it).
-
-        Mid-segment events that *would* observe directory state — a
-        generic detour on residue, a failed closed-form upgrade proof
-        — commit the pending stream first (a commit is legal at any
-        point; only the totals are observable).  Front victims and
-        page drains that hit a still-pending line revoke the grant at
-        commit instead (``p_dead``), charging the same Put counters
-        the per-event path would.
-        """
-        if (self.prefetch is not None
-                or not isinstance(self.fm_policies[0], LRUPolicy)):
-            self.miss_mode = False
-            return self.replay(seg_tags, seg_w, age0, stall, seq0)
-        srt = np.sort(seg_tags)
-        if srt.size > 1 and bool((srt[1:] == srt[:-1]).any()):
-            self.miss_mode = False
-            return self.replay(seg_tags, seg_w, age0, stall, seq0)
-        front = self.front
-        tag_map = front._tag_map
-        tm_get = tag_map.get
-        tags_f = front._tags_f
-        state_f = front._state_f
-        age_f = front._age_f
-        counts = front._counts
-        ways = front.ways
-        set_mask = front._set_mask
-        entries = self.entries
-        aid = self.aid
-        aid_set = {aid}
-        agent = self.agent
-        acct = self.account._buckets
-        stall_b = self.rt.account._buckets
-        fm_all = self.fm_lines
-        fm_policies = self.fm_policies
-        fm_set_mask = self.fm_set_mask
-        fm_ways = self.fm_ways
-        fm_cache = self.fm_cache
-        ent_get = entries.get
-        tag_page_shift = self.tag_page_shift
-        last_page = self.last_page
-        marks = self.marks
-        coh_ns = self.coh_ns
-        fmem_ns = self.fmem_ns
-        fmem_exact = self.fmem_ns_exact
-        locate = self.locate
-        remote_read_ns = self.remote_read_ns
-        has_remainder = self.has_remainder
-        fill_bg = self.fill_bg_ns
-        line_bytes = units.CACHE_LINE
-        fast_locate = (not self.fabric_down
-                       and self.failures.replication is None)
-        if not fast_locate:
-            self.node_memo.clear()
-        node_memo = self.node_memo
-        nm_get = node_memo.get
-        fast_net = not self.extra_delays
-        read_base = self.read_base
-        cap = self.cap
-        pageres = self.pageres
-        pr_get = pageres.get
-        # Capture rows are deferred per segment and emitted in one
-        # record_block — legal only while no capture state (health,
-        # chaos flags, pending replication outcome) can mutate between
-        # the deferred calls, i.e. on a healthy rack; detours flush
-        # the rows first because their agent records inline.
-        cap_rows = [] if (cap is not None and fast_locate) else None
-        excl_code = EXCLUSIVE if self.has_excl else SHARED
-        pend = self.pend
-        pend_add = pend.add
-        p_lines = self.p_lines
-        pl_append = p_lines.append
-        pw_append = self.p_writes.append
-        length = int(seg_tags.size)
-        seq_off = seq0 - age0
-        # Residency list of the memoed page, so the hot fm-hit branch
-        # skips the pageres probe.
-        last_res = pr_get(last_page) if last_page >= 0 else None
-        # The four per-miss float buckets accumulate in locals — the
-        # same addition chain, folded back in one store.  Detours that
-        # can charge them (generic upgrade, generic miss) flush first
-        # and reseed after, so interleavings stay bit-exact.
-        ms = stall_b["memory_stall"]
-        a_fmem = acct["fmem_hit"]
-        a_rf = acct["remote_fetch"]
-        a_fb = acct["fill_background"]
-        # Snoop-journal recording is hot-span machinery; this mode
-        # drops the journal at segment end, so don't feed it.
-        rec_muts = front.record_mutations
-        front.record_mutations = False
-        hits = 0
-        misses = 0
-        upgrades = 0
-        l_front_misses = 0
-        l_front_evictions = 0
-        l_put_m = l_put_clean = 0
-        l_fmem_hits = l_remote = 0
-        l_fm_hits = l_fm_fills = l_fm_evictions = 0
-        l_stat_hits = l_stat_misses = l_stat_evictions = l_stat_dirty = 0
-        l_n_fmem = 0
-        age = age0 - 1
-        try:
-            for tag, isw in zip(seg_tags.tolist(), seg_w.tolist()):
-                age += 1
-                flat = tm_get(tag, -1)
-                if flat >= 0:
-                    if not isw or _WRITABLE_PY[state_f[flat]]:
-                        if isw:
-                            state_f[flat] = MODIFIED
-                        age_f[flat] = age
-                        hits += 1
-                        continue
-                    # Upgrade (S/O -> M).  Distinct tags guarantee the
-                    # target is never this segment's own pending grant,
-                    # but a failed closed-form proof routes through the
-                    # generic GetM, which may re-fill and so drain a
-                    # page with deferred grants: commit first.  The
-                    # detour's agent also records captures inline, so
-                    # deferred rows must land first.
-                    if cap_rows:
-                        cap.record_block(cap_rows)
-                        cap_rows.clear()
-                    if p_lines:
-                        entry = ent_get(tag << _LINE_SHIFT)
-                        if (entry is None
-                                or (entry.state is not _S_SHARED
-                                    and entry.state is not _S_OWNED)
-                                or (entry.owner is not None
-                                    and entry.owner != aid)
-                                or entry.sharers - aid_set):
-                            self._commit_pending()
-                    if cap is not None:
-                        cap.seq = seq_off + age
-                    stall_b["memory_stall"] = ms
-                    acct["fmem_hit"] = a_fmem
-                    acct["remote_fetch"] = a_rf
-                    acct["fill_background"] = a_fb
-                    try:
-                        self.upgrade(tag, age)
-                    finally:
-                        ms = stall_b["memory_stall"]
-                        a_fmem = acct["fmem_hit"]
-                        a_rf = acct["remote_fetch"]
-                        a_fb = acct["fill_background"]
-                    upgrades += 1
-                    continue
-                line = tag << _LINE_SHIFT
-                entry = ent_get(line)
-                if entry is not None and entry.state is not _S_INVALID:
-                    # Directory residue: generic path for this miss.
-                    # Its fill may drain a page, so pending grants
-                    # must be committed (visible to the snoop) and
-                    # deferred capture rows emitted before the
-                    # detour's own records.
-                    if cap_rows:
-                        cap.record_block(cap_rows)
-                        cap_rows.clear()
-                    if cap is not None:
-                        cap.seq = seq_off + age
-                    if p_lines:
-                        self._commit_pending()
-                    stall_b["memory_stall"] = ms
-                    acct["fmem_hit"] = a_fmem
-                    acct["remote_fetch"] = a_rf
-                    acct["fill_background"] = a_fb
-                    try:
-                        cost = self._miss_generic(line, isw, age)[3]
-                    finally:
-                        ms = stall_b["memory_stall"]
-                        a_fmem = acct["fmem_hit"]
-                        a_rf = acct["remote_fetch"]
-                        a_fb = acct["fill_background"]
-                    stall += cost
-                    ms += cost
-                    misses += 1
-                    continue
-                sidx = tag & set_mask
-                base = sidx * ways
-                l_front_misses += 1
-                if counts[sidx] >= ways:
-                    flat = base + int(age_f[base:base + ways].argmin())
-                    victim_tag = int(tags_f[flat])
-                    victim_dirty = int(state_f[flat]) >= OWNED
-                    tags_f[flat] = _EMPTY
-                    state_f[flat] = INVALID
-                    age_f[flat] = 0
-                    del tag_map[victim_tag]
-                    l_front_evictions += 1
-                    victim_addr = victim_tag << _LINE_SHIFT
-                    if victim_tag in pend:
-                        # Granted earlier this segment, dying before
-                        # the commit: the deferred grant makes the Put
-                        # closed form by construction; revoke at
-                        # commit.
-                        self.p_dead.append(victim_tag)
-                        if victim_dirty:
-                            l_put_m += 1
-                            self.d_writebacks += 1
-                            marks.append(victim_addr)
-                        else:
-                            l_put_clean += 1
-                    else:
-                        ventry = entries.get(victim_addr)
-                        if victim_dirty:
-                            if (ventry is not None and ventry.owner == aid
-                                    and ventry.state is not _S_INVALID
-                                    and ventry.state is not _S_SHARED
-                                    and ventry.sharers <= aid_set):
-                                ventry.state = _S_INVALID
-                                ventry.owner = None
-                                ventry.sharers.clear()
-                                l_put_m += 1
-                                self.d_writebacks += 1
-                                marks.append(victim_addr)
-                            else:
-                                self.directory.put_modified(victim_addr,
-                                                            aid)
-                        else:
-                            if (ventry is not None
-                                    and ventry.owner in (None, aid)
-                                    and ventry.sharers <= aid_set):
-                                ventry.state = _S_INVALID
-                                ventry.owner = None
-                                ventry.sharers.clear()
-                                l_put_clean += 1
-                            else:
-                                self.directory.put_clean(victim_addr, aid)
-                else:
-                    flat = base + state_f[base:base + ways].tobytes().find(0)
-                    counts[sidx] += 1
-                # Deferred grant: the per-event directory transition
-                # and its get_s/get_m charge move to the segment
-                # commit; only the granted front-state code is needed
-                # now (closed form: the entry is INVALID).
-                code = MODIFIED if isw else excl_code
-                pend_add(tag)
-                pl_append(line)
-                pw_append(isw)
-                # Serve the fill (inlined _serve_fill).
-                page_tag = tag >> tag_page_shift
-                if page_tag == last_page:
-                    if last_res is not None:
-                        last_res.append(tag)
-                    l_stat_hits += 1
-                    l_fm_hits += 1
-                    l_fmem_hits += 1
-                    cost = fmem_ns
-                    if fmem_exact:
-                        l_n_fmem += 1
-                    else:
-                        a_fmem += cost
-                    if cap_rows is not None:
-                        cap_rows.append((seq_off + age, line, None, 0,
-                                         0.0, 0.0, cost))
-                    elif cap is not None:
-                        cap.record(seq_off + age, line, None, 0,
-                                   0.0, 0.0, cost)
-                elif page_tag in fm_all[fm_sidx := page_tag & fm_set_mask]:
-                    residents = pr_get(page_tag)
-                    if residents is not None:
-                        residents.append(tag)
-                    l_stat_hits += 1
-                    order = fm_policies[fm_sidx]._order
-                    if order[-1] != page_tag:
-                        order.remove(page_tag)
-                        order.append(page_tag)
-                    l_fm_hits += 1
-                    l_fmem_hits += 1
-                    cost = fmem_ns
-                    if fmem_exact:
-                        l_n_fmem += 1
-                    else:
-                        a_fmem += cost
-                    if cap_rows is not None:
-                        cap_rows.append((seq_off + age, line, None, 0,
-                                         0.0, 0.0, cost))
-                    elif cap is not None:
-                        cap.record(seq_off + age, line, None, 0,
-                                   0.0, 0.0, cost)
-                    last_page = page_tag
-                    last_res = residents
-                else:
-                    l_remote += 1
-                    if fast_locate:
-                        node = nm_get(page_tag)
-                        if node is None:
-                            node = locate(line).node
-                            node_memo[page_tag] = node
-                    else:
-                        node = locate(line).node
-                    l_stat_misses += 1
-                    l_fm_fills += 1
-                    fm_sidx = page_tag & fm_set_mask
-                    fm_lines = fm_all[fm_sidx]
-                    policy = fm_policies[fm_sidx]
-                    victim_page = None
-                    if len(fm_lines) >= fm_ways:
-                        victim_page = policy.evict()
-                        if fm_lines.pop(victim_page):
-                            l_stat_dirty += 1
-                        l_stat_evictions += 1
-                        l_fm_evictions += 1
-                    else:
-                        fm_cache._occupied += 1
-                    fm_lines[page_tag] = False
-                    policy.insert(page_tag)
-                    last_res = [tag]
-                    pageres[page_tag] = last_res
-                    if victim_page is not None:
-                        self.drain_page(victim_page)
-                    read_ns = (read_base if fast_net
-                               else remote_read_ns(node, line_bytes))
-                    cost = coh_ns + read_ns
-                    if has_remainder:
-                        a_fb += fill_bg
-                    a_rf += cost
-                    if cap_rows is not None:
-                        cap_rows.append((seq_off + age, line, node, 1,
-                                         coh_ns, read_ns, 0.0))
-                    elif cap is not None:
-                        cap.record(seq_off + age, line, node, 1,
-                                   coh_ns, read_ns, 0.0)
-                    last_page = page_tag   # just inserted: the set's MRU
-                agent._last_access_ns = cost
-                tags_f[flat] = tag
-                state_f[flat] = code
-                age_f[flat] = age
-                tag_map[tag] = flat
-                stall += cost
-                ms += cost
-                misses += 1
-        finally:
-            try:
-                if cap_rows:
-                    cap.record_block(cap_rows)
-                    cap_rows.clear()
-            finally:
-                try:
-                    if p_lines:
-                        self._commit_pending()
-                finally:
-                    front.record_mutations = rec_muts
-                    stall_b["memory_stall"] = ms
-                    acct["fmem_hit"] = a_fmem
-                    acct["remote_fetch"] = a_rf
-                    acct["fill_background"] = a_fb
-                    self.last_page = last_page
-                    self.d_cache_hits += hits + upgrades
-                    self.d_cache_misses += misses
-                    self.d_front_hits += hits
-                    self.d_front_misses += l_front_misses
-                    self.d_front_evictions += l_front_evictions
-                    self.d_put_m += l_put_m
-                    self.d_put_clean += l_put_clean
-                    self.d_fmem_hits += l_fmem_hits
-                    self.d_remote += l_remote
-                    self.d_fm_hits += l_fm_hits
-                    self.d_fm_fills += l_fm_fills
-                    self.d_fm_evictions += l_fm_evictions
-                    self.d_stat_hits += l_stat_hits
-                    self.d_stat_misses += l_stat_misses
-                    self.d_stat_evictions += l_stat_evictions
-                    self.d_stat_dirty += l_stat_dirty
-                    self.n_fmem_charges += l_n_fmem
-                    # Sticky miss mode: skip classification while
-                    # segments run at effectively zero hits (any
-                    # dispatch choice is result-identical; this one
-                    # only saves the classify).
-                    self.miss_mode = hits < length * self.miss_gate
-        front._mutations.clear()
-        return stall
-
-    def _commit_pending(self) -> None:
-        """Apply the deferred grant stream of the current segment.
-
-        The ``(line, write)`` stream is kept in original ``seq``
-        order; a stable argsort over the page key yields ``(page,
-        seq)`` order, whose page-contiguous slices are the page runs
-        ``Directory.acquire_page_runs`` consumes — one directory
-        transaction per run.  Grants revoked before the commit (front
-        victims and page drains inside the segment) are applied and
-        then collapsed back to INVALID, leaving the same entry state
-        and counter totals as the per-event path.
-        """
-        lines = self.p_lines
-        writes = self.p_writes
-        if lines:
-            if len(lines) > 1:
-                keys = np.fromiter(lines, dtype=np.int64, count=len(lines))
-                order = np.argsort(
-                    keys >> (self.tag_page_shift + _LINE_SHIFT),
-                    kind="stable").tolist()
-                lines = [lines[i] for i in order]
-                writes = [writes[i] for i in order]
-            self.directory.acquire_page_runs(lines, writes, self.aid)
-        dead = self.p_dead
-        if dead:
-            entries = self.entries
-            for t in dead:
-                entry = entries[t << _LINE_SHIFT]
-                entry.state = _S_INVALID
-                entry.owner = None
-                entry.sharers.clear()
-            dead.clear()
-        self.p_lines.clear()
-        self.p_writes.clear()
-        self.pend.clear()
 
     def drain_page(self, victim_page: int) -> None:
         """Fused ``MemoryAgent._evict_page`` for an FMem victim page.
@@ -1309,7 +872,6 @@ class _FusedLane:
         snooped = False
         n_inval = 0
         marks = self.marks
-        pend = self.pend
         for flat, t in pairs:
             state = state_f[flat]
             if state == SHARED:   # clean copies survive the snoop
@@ -1322,16 +884,10 @@ class _FusedLane:
             if muts is not None:
                 muts.append((INVALIDATED, t))
             line = t << _LINE_SHIFT
-            if pend and t in pend:
-                # The line's directory grant is still deferred (this
-                # segment's coalesced commit): revoke it there instead
-                # of touching the not-yet-written entry.
-                self.p_dead.append(t)
-            else:
-                entry = entries[line]
-                entry.state = _S_INVALID
-                entry.owner = None
-                entry.sharers.clear()
+            entry = entries[line]
+            entry.state = _S_INVALID
+            entry.owner = None
+            entry.sharers.clear()
             if state >= OWNED:
                 marks.append(line)
                 self.d_lines_snooped += 1
@@ -1466,8 +1022,7 @@ class _FusedLane:
 
 def run_trace_batched(rt: "KonaRuntime", addrs: np.ndarray,
                       writes: np.ndarray, base: int = 0,
-                      stall: float = 0.0,
-                      coalesced: Optional[bool] = None) -> float:
+                      stall: float = 0.0) -> float:
     """Execute the access stream; returns the accumulated stall ns.
 
     State-, counter- and latency-identical to the scalar loop,
@@ -1481,13 +1036,9 @@ def run_trace_batched(rt: "KonaRuntime", addrs: np.ndarray,
     and never materialize a rebased copy of the whole trace.  ``stall``
     seeds the accumulator so streamed chunks continue one float
     summation chain (see the ordering contract on :class:`_FusedLane`).
-    ``coalesced`` selects page-run grant coalescing for replayed
-    segments (None: the ``KonaConfig.coalesced_replay`` default).
     """
     n = int(addrs.size)
     cfg = rt.config
-    if coalesced is None:
-        coalesced = cfg.coalesced_replay
     # Threshold fractions; at the config defaults every comparison is
     # arithmetically identical to the historical integer forms (the
     # fractions are dyadic and the operands small, so the float
@@ -1542,7 +1093,7 @@ def run_trace_batched(rt: "KonaRuntime", addrs: np.ndarray,
             tags = a >> _LINE_SHIFT
             stall, replayed = _run_span(rt, front, tags[:limit], w[:limit],
                                         pos, stall, maybe_evict, tick, lane,
-                                        seq_base + pos, miss_gate, coalesced)
+                                        seq_base + pos, miss_gate)
             if limit < a.size:
                 # Same behaviour as the scalar loop: every access before
                 # the bad one has executed; the bad one raises.
@@ -1576,8 +1127,7 @@ def _run_span(rt: "KonaRuntime", front: VectorizedCoherentCache,
               tags: np.ndarray, w: np.ndarray, g_base: int, stall: float,
               maybe_evict, tick,
               lane: Optional[_FusedLane] = None,
-              seq0: int = 0, miss_gate: float = 0.5,
-              coalesced: bool = False) -> Tuple[float, int]:
+              seq0: int = 0, miss_gate: float = 0.5) -> Tuple[float, int]:
     """Run one chunk, segmented at the maintenance cadence.
 
     The scalar loop runs ``maybe_evict``/``obs.tick`` *after* access
@@ -1614,7 +1164,7 @@ def _run_span(rt: "KonaRuntime", front: VectorizedCoherentCache,
                                                w[local:end],
                                                front._clock + 1,
                                                stall, lane, seq0 + local,
-                                               miss_gate, coalesced)
+                                               miss_gate)
             replayed += seg_replayed
         front._clock += end - local
         if (g_base + end - 1) % _CADENCE == 0:
@@ -1646,21 +1196,19 @@ def _run_segment(rt: "KonaRuntime", front: VectorizedCoherentCache,
                  seg_tags: np.ndarray, seg_w: np.ndarray, age0: int,
                  stall: float,
                  lane: Optional[_FusedLane] = None,
-                 seq0: int = 0, miss_gate: float = 0.5,
-                 coalesced: bool = False) -> Tuple[float, int]:
+                 seq0: int = 0, miss_gate: float = 0.5) -> Tuple[float, int]:
     """Bulk-resolve pure-hit runs; replay each boundary event.
 
     Returns ``(stall, accesses handled by scalar replay)``.
     """
     length = int(seg_tags.size)
     if lane is not None and lane.miss_mode:
-        # Sticky miss mode: the previous coalesced segment ran at
+        # Sticky miss mode: the previous replayed segment ran at
         # effectively zero hits, so skip classification entirely;
-        # replay_coalesced re-opens the gate as soon as a segment's
-        # realized hit fraction crosses it.  Result-identical to the
-        # classified dispatch (both paths are bit-exact).
-        return lane.replay_coalesced(seg_tags, seg_w, age0, stall,
-                                     seq0), length
+        # replay re-opens the gate as soon as a segment's realized hit
+        # fraction crosses it.  Result-identical to the classified
+        # dispatch (both paths are bit-exact).
+        return lane.replay(seg_tags, seg_w, age0, stall, seq0), length
     pure, resident, flat = front.classify(seg_tags, seg_w)
     if int(pure.sum()) < length * miss_gate:
         # Miss-heavy segment: the run/patch machinery would pay its
@@ -1668,9 +1216,6 @@ def _run_segment(rt: "KonaRuntime", front: VectorizedCoherentCache,
         # replay the segment access-by-access against the front-end's
         # tag map — same events, same order, same counters.
         if lane is not None:
-            if coalesced:
-                return lane.replay_coalesced(seg_tags, seg_w, age0,
-                                             stall, seq0), length
             return lane.replay(seg_tags, seg_w, age0, stall,
                                seq0), length
         return _replay_segment(rt, front, seg_tags, seg_w, age0,

@@ -54,6 +54,11 @@ VFMEM_BASE = 4 * units.GB
 #: Accesses materialized per chunk by the scalar trace loop.
 _SCALAR_CHUNK = 1 << 16
 
+#: Trace-replay engines accepted by ``run_trace``/``run_trace_stream``
+#: (and the CLI ``--engine`` flag): the batched fast path and the
+#: one-access-at-a-time scalar oracle.
+ENGINES = ("batched", "scalar")
+
 
 def build_rack(fabric: Fabric, num_nodes: int, node_capacity: int,
                slab_bytes: int) -> RackController:
@@ -541,11 +546,7 @@ class KonaRuntime:
         ``engine="batched"`` (default) bulk-resolves pure CPU-cache
         hits through the vectorized front-end and replays everything
         else through the scalar back-end (see :mod:`repro.kona.engine`);
-        ``engine="coalesced"`` additionally grants replayed misses
-        through one directory transaction per page run (the batched
-        engine already does this when ``KonaConfig.coalesced_replay``
-        is set — the explicit name forces it on);
-        ``engine="scalar"`` is the one-access-at-a-time oracle.  All
+        ``engine="scalar"`` is the one-access-at-a-time oracle.  Both
         produce bit-identical reports, counters and component state.
 
         ``base`` adds a constant offset to every address as it is
@@ -553,22 +554,13 @@ class KonaRuntime:
         addresses, and rebasing per chunk avoids materializing a
         shifted copy of a 100M-entry array.
         """
+        engine = self._resolve_engine(engine)
         if addrs.shape != writes.shape:
             raise ConfigError("addrs and writes must have identical shape")
-        if engine in ("batched", "coalesced") and self.content is not None:
-            # The data plane versions writes per access; the batched
-            # front-end bulk-resolves hits and would skip them.
-            engine = "scalar"
         if engine == "batched":
             stall = run_trace_batched(self, addrs, writes, base=base)
-        elif engine == "coalesced":
-            stall = run_trace_batched(self, addrs, writes, base=base,
-                                      coalesced=True)
-        elif engine == "scalar":
-            stall = self._run_trace_scalar(addrs, writes, base=base)
         else:
-            raise ConfigError(f"unknown run_trace engine {engine!r}; "
-                              "choose 'batched', 'coalesced' or 'scalar'")
+            stall = self._run_trace_scalar(addrs, writes, base=base)
         app = self.app_ns_per_access * addrs.size
         self.account.charge("app_compute", app)
         return ExecutionReport(
@@ -582,6 +574,20 @@ class KonaRuntime:
                            * self.config.fetch_block),
             bytes_written_back=self.eviction.stats.wire_bytes,
         )
+
+    def _resolve_engine(self, engine: str) -> str:
+        """Validate a trace-replay engine name; the one actually run.
+
+        With a data plane attached the batched engine downgrades to
+        scalar: the data plane versions writes per access, and the
+        batched front-end bulk-resolves hits and would skip them.
+        """
+        if engine not in ENGINES:
+            raise ConfigError(f"unknown run_trace engine {engine!r}; "
+                              f"choose one of {', '.join(ENGINES)}")
+        if engine == "batched" and self.content is not None:
+            return "scalar"
+        return engine
 
     def run_trace_stream(self, chunks, engine: str = "batched",
                          base: int = 0) -> ExecutionReport:
@@ -597,11 +603,7 @@ class KonaRuntime:
         threads through all chunks (see the ordering contract in
         ``docs/architecture.md``).
         """
-        if engine not in ("batched", "coalesced", "scalar"):
-            raise ConfigError(f"unknown run_trace engine {engine!r}; "
-                              "choose 'batched', 'coalesced' or 'scalar'")
-        if engine in ("batched", "coalesced") and self.content is not None:
-            engine = "scalar"
+        engine = self._resolve_engine(engine)
         stall = 0.0
         total = 0
         pending = False   # a non-multiple chunk must be the last one
@@ -622,9 +624,6 @@ class KonaRuntime:
             if engine == "batched":
                 stall = run_trace_batched(self, addrs, writes, base=base,
                                           stall=stall)
-            elif engine == "coalesced":
-                stall = run_trace_batched(self, addrs, writes, base=base,
-                                          stall=stall, coalesced=True)
             else:
                 stall = self._run_trace_scalar(addrs, writes, stall,
                                                base=base)

@@ -4,21 +4,28 @@ The batched engine's acceptance bar is *bit-identity*: every counter
 at every layer, the dirty bitmap, the time accounting and the report
 must match the scalar oracle exactly — across workload models,
 coherence protocols, prefetch policies, observability settings, and a
-mid-trace node-failure campaign.
+mid-trace node-failure campaign.  Miss-heavy traces, which the batched
+engine replays through its fused miss lane, additionally compare
+merged causal ``FaultLog`` aggregates with capture on, and hold across
+monolithic vs streamed vs sharded replay.
 """
 
 import numpy as np
 import pytest
 
 import repro.common.units as u
+from repro.coherence.vectorized import VectorizedCoherentCache
 from repro.common.errors import AddressError, ConfigError
-from repro.experiments.bench import runtime_fingerprint
+from repro.experiments.bench import (RUNTIME_QUICK_CASES, check_speedup,
+                                     runtime_fingerprint)
 from repro.experiments.chaos import (REGION_BYTES, build_chaos_runtime,
                                      chaos_stream)
+from repro.experiments.shard import ShardSpec, make_shards, run_sharded
 from repro.kona.config import KonaConfig
 from repro.kona.runtime import KonaRuntime
 from repro.obs import FlightRecorder
 from repro.workloads import WORKLOADS
+from repro.workloads.trace import TRACE_DTYPE, Trace, save_columnar
 
 N = 4_000
 
@@ -176,6 +183,27 @@ class TestEngineContract:
                              [list(s.items()) for s in rt.cpu_cache._sets])
         assert state["scalar"] == state["batched"]
 
+    def test_removed_engine_name_rejected_before_work(self, tmp_path):
+        # Only "batched" and "scalar" exist; a stale name fails up
+        # front — before a streamed chunk is read or a shard's trace
+        # is opened.
+        stale = "coalesced"   # the deleted page-run replay engine
+        rt = build_runtime()
+        rt.mmap(32 * u.MB)
+        with pytest.raises(ConfigError):
+            rt.run_trace(np.zeros(1, dtype=np.int64),
+                         np.zeros(1, dtype=bool), engine=stale)
+        consumed = []
+
+        def chunks():
+            consumed.append(True)
+            yield np.zeros(256, dtype=np.int64), np.zeros(256, dtype=bool)
+        with pytest.raises(ConfigError):
+            rt.run_trace_stream(chunks(), engine=stale)
+        assert not consumed
+        with pytest.raises(ConfigError):
+            ShardSpec(str(tmp_path / "missing.trace"), 0, 1, engine=stale)
+
     def test_shape_mismatch_rejected(self):
         rt = build_runtime()
         with pytest.raises(ConfigError):
@@ -203,3 +231,280 @@ class TestChaosCampaign:
                                   engine=engine)
             out[engine] = runtime_fingerprint(rt, report)
         assert out["scalar"] == out["batched"]
+
+
+# -- miss-heavy traces: the fused miss lane ----------------------------------
+
+MISS_N = 6_000
+MISS_REGION = 32 * u.MB
+
+
+def build_miss_runtime(**overrides):
+    defaults = dict(fmem_capacity=4 * u.MB, vfmem_capacity=256 * u.MB,
+                    slab_bytes=16 * u.MB)
+    defaults.update(overrides)
+    return KonaRuntime(KonaConfig(**defaults), app_ns_per_access=70.0)
+
+
+def miss_heavy_trace(n, seed, region_bytes=MISS_REGION, hot_lines=512,
+                     cold=0.65, write_frac=0.4):
+    """Mostly cold lines: the segments classify miss-heavy, so the
+    batched engine replays them through the fused miss lane rather
+    than hit patching."""
+    rng = np.random.default_rng(seed)
+    lines = rng.integers(0, hot_lines, size=n, dtype=np.int64)
+    mask = rng.random(n) < cold
+    lines[mask] = rng.integers(hot_lines, region_bytes // u.CACHE_LINE,
+                               size=int(mask.sum()), dtype=np.int64)
+    return lines * u.CACHE_LINE, rng.random(n) < write_frac
+
+
+def run_miss(engine, make_trace, capture=False, **overrides):
+    """One engine over a miss-heavy trace: (fingerprint, FaultLog
+    aggregate or None)."""
+    rt = build_miss_runtime(**overrides)
+    cap = rt.attach_causal_capture() if capture else None
+    region = rt.mmap(MISS_REGION)
+    addrs, writes = make_trace()
+    report = rt.run_trace(addrs + np.int64(region.start), writes,
+                          engine=engine)
+    return (runtime_fingerprint(rt, report),
+            cap.log.aggregate() if capture else None)
+
+
+def assert_miss_identical(make_trace, capture=False, **overrides):
+    got = {engine: run_miss(engine, make_trace, capture=capture,
+                            **overrides)
+           for engine in ("scalar", "batched")}
+    assert got["batched"] == got["scalar"]
+
+
+class TestMissHeavy:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_random_traces_identical(self, seed):
+        assert_miss_identical(lambda: miss_heavy_trace(MISS_N, seed))
+
+    @pytest.mark.parametrize("protocol", ["msi", "mesi", "moesi"])
+    def test_protocols_identical(self, protocol):
+        assert_miss_identical(lambda: miss_heavy_trace(MISS_N, 11),
+                              protocol=protocol)
+
+    @pytest.mark.parametrize("protocol", ["msi", "mesi", "moesi"])
+    def test_capture_on_identical(self, protocol):
+        # The lane records causal rows at its inlined fill sites;
+        # aggregates must match the oracle's row for row.
+        assert_miss_identical(lambda: miss_heavy_trace(MISS_N, 13),
+                              capture=True, protocol=protocol)
+
+    @pytest.mark.parametrize("name", ["page-rank", "voltdb-tpcc"])
+    def test_workload_models_identical(self, name):
+        got = {}
+        for engine in ("scalar", "batched"):
+            rt = build_miss_runtime(fmem_capacity=8 * u.MB)
+            model = WORKLOADS[name]()
+            trace = model.generate(windows=2, seed=7)
+            region = rt.mmap(model.memory_bytes)
+            m = min(MISS_N, len(trace))
+            report = rt.run_trace(trace.addrs[:m] + np.uint64(region.start),
+                                  trace.writes[:m], engine=engine)
+            got[engine] = runtime_fingerprint(rt, report)
+        assert got["batched"] == got["scalar"]
+
+    def test_tiny_fmem_eviction_pressure(self):
+        # FMem far below the footprint: page drains snoop lines the
+        # lane filled earlier in the same replayed segment.
+        assert_miss_identical(lambda: miss_heavy_trace(10_000, 17),
+                              fmem_capacity=1 * u.MB)
+
+    def test_sticky_miss_mode_skips_classification(self, monkeypatch):
+        # A miss-heavy stretch, then a hot tail over the same hot lines.
+        # While segments replay at near-zero hits the lane stays in
+        # sticky miss mode and classification is skipped; the first
+        # hot segment re-opens the gate.
+        miss_n, tail_n = 8_192, 8_192
+        rng = np.random.default_rng(43)
+        miss_addrs, miss_writes = miss_heavy_trace(miss_n, 43)
+        tail_addrs = rng.integers(0, 512, size=tail_n,
+                                  dtype=np.int64) * u.CACHE_LINE
+        addrs0 = np.concatenate([miss_addrs, tail_addrs])
+        writes = np.concatenate([miss_writes, rng.random(tail_n) < 0.4])
+        clocks = []
+        classify = VectorizedCoherentCache.classify
+
+        def counting(front, tags, w):
+            clocks.append(front._clock)
+            return classify(front, tags, w)
+        monkeypatch.setattr(VectorizedCoherentCache, "classify", counting)
+        got = {}
+        for engine in ("scalar", "batched"):
+            rt = build_miss_runtime()
+            region = rt.mmap(MISS_REGION)
+            report = rt.run_trace(addrs0 + np.int64(region.start), writes,
+                                  engine=engine)
+            got[engine] = runtime_fingerprint(rt, report)
+        assert got["batched"] == got["scalar"]
+        # Every call came from the batched run, whose clock starts at
+        # the first access.
+        start = clocks[0]
+        in_miss = sum(1 for c in clocks if c - start < miss_n)
+        in_tail = len(clocks) - in_miss
+        segments = miss_n // 256
+        assert in_miss <= segments // 8
+        assert in_tail >= 1
+
+
+class TestMissHeavyChaos:
+    """Fail a replica mid-run under a miss-heavy trace, recover,
+    compare the engines."""
+
+    @staticmethod
+    def _chaos_runtime():
+        cfg = KonaConfig(fmem_capacity=4 * u.MB,
+                         vfmem_capacity=64 * u.MB,
+                         slab_bytes=16 * u.MB,
+                         replication_factor=2,
+                         retry_seed=0)
+        rt = KonaRuntime(cfg, num_memory_nodes=2, app_ns_per_access=70.0)
+        rt.failures.coherence_timeout_ns = 10_000.0
+        return rt
+
+    @pytest.mark.parametrize("capture", [False, True])
+    def test_node_failure_between_spans(self, capture):
+        out = {}
+        for engine in ("scalar", "batched"):
+            rt = self._chaos_runtime()
+            cap = rt.attach_causal_capture() if capture else None
+            region = rt.mmap(16 * u.MB)
+            addrs, writes = miss_heavy_trace(9_000, 23,
+                                             region_bytes=16 * u.MB)
+            addrs = addrs + np.int64(region.start)
+            spans = np.array_split(np.arange(addrs.size), 3)
+            rt.run_trace(addrs[spans[0]], writes[spans[0]], engine=engine)
+            rt.fabric.fail_node("mem0")
+            rt.run_trace(addrs[spans[1]], writes[spans[1]], engine=engine)
+            rt.fabric.recover_node("mem0")
+            rt.recover()
+            report = rt.run_trace(addrs[spans[2]], writes[spans[2]],
+                                  engine=engine)
+            out[engine] = (runtime_fingerprint(rt, report),
+                           cap.log.aggregate() if capture else None)
+        assert out["batched"] == out["scalar"]
+
+
+class TestStreamedAndSharded:
+    def test_streamed_chunks_identical_to_monolithic(self):
+        addrs0, writes = miss_heavy_trace(12_000, 29)
+        mono = {}
+        for engine in ("scalar", "batched"):
+            rt = build_miss_runtime()
+            cap = rt.attach_causal_capture()
+            region = rt.mmap(MISS_REGION)
+            report = rt.run_trace(addrs0 + np.int64(region.start), writes,
+                                  engine=engine)
+            mono[engine] = (runtime_fingerprint(rt, report),
+                            cap.log.aggregate())
+        assert mono["batched"] == mono["scalar"]
+
+        # Random cadence-aligned cuts, streamed through each engine.
+        rng = np.random.default_rng(31)
+        cuts = np.unique(rng.integers(1, addrs0.size // 256, 4)) * 256
+        bounds = [0, *cuts.tolist(), addrs0.size]
+        for engine in ("scalar", "batched"):
+            rt = build_miss_runtime()
+            cap = rt.attach_causal_capture()
+            region = rt.mmap(MISS_REGION)
+            base = np.int64(region.start)
+            chunks = ((addrs0[a:b] + base, writes[a:b])
+                      for a, b in zip(bounds, bounds[1:]))
+            report = rt.run_trace_stream(chunks, engine=engine)
+            streamed = (runtime_fingerprint(rt, report),
+                        cap.log.aggregate())
+            assert streamed == mono[engine], engine
+
+    def test_sharded_batched_matches_sharded_scalar(self, tmp_path):
+        from dataclasses import replace
+
+        addrs, writes = miss_heavy_trace(12_000, 37)
+        data = np.zeros(addrs.size, dtype=TRACE_DTYPE)
+        data["addr"] = addrs.astype(np.uint64)
+        data["size"] = u.CACHE_LINE
+        data["write"] = writes
+        trace_dir = str(tmp_path / "miss.trace")
+        save_columnar(Trace(data=data, memory_bytes=MISS_REGION), trace_dir)
+        out = {}
+        for engine in ("scalar", "batched"):
+            specs = [replace(spec, capture=True)
+                     for spec in make_shards(trace_dir, 2, engine=engine,
+                                             chunk_size=1 << 12,
+                                             fmem_mb=4, vfmem_mb=64)]
+            result = run_sharded(specs, processes=1)
+            out[engine] = (result.totals.as_dict(), result.elapsed_ns,
+                           result.fault_log().aggregate())
+        assert out["batched"] == out["scalar"]
+
+
+class TestConfigKnobs:
+    def test_defaults(self):
+        cfg = KonaConfig(fmem_capacity=4 * u.MB, vfmem_capacity=64 * u.MB,
+                         slab_bytes=16 * u.MB)
+        assert cfg.miss_replay_density == 0.5
+        assert cfg.batch_escape_density == 0.5
+        assert cfg.batch_reenter_hits == 0.875
+
+    @pytest.mark.parametrize("field,value", [
+        ("miss_replay_density", 0.0),
+        ("miss_replay_density", 1.5),
+        ("batch_escape_density", -0.1),
+        ("batch_escape_density", 2.0),
+        ("batch_reenter_hits", -0.5),
+        ("batch_reenter_hits", 1.01),
+    ])
+    def test_out_of_range(self, field, value):
+        with pytest.raises(ConfigError):
+            KonaConfig(fmem_capacity=4 * u.MB, vfmem_capacity=64 * u.MB,
+                       slab_bytes=16 * u.MB, **{field: value})
+
+    def test_hysteresis_knobs_are_honored(self):
+        # Degenerate thresholds flip the adaptive engine's mode
+        # choices, but bit-identity with the oracle must hold at any
+        # legal setting — the knobs steer speed, never results.
+        for density in (0.01, 1.0):
+            assert_miss_identical(lambda: miss_heavy_trace(4_000, 41),
+                                  miss_replay_density=density,
+                                  batch_escape_density=density,
+                                  batch_reenter_hits=0.0)
+
+
+class TestPerfGateFloors:
+    def test_quick_suite_has_miss_heavy_canonical_case(self):
+        labels = {case.case_label: case for case in RUNTIME_QUICK_CASES}
+        case = labels["page-rank-miss"]
+        assert case.workload == "page-rank"
+        assert case.num_accesses == 150_000
+        assert case.seed == 7
+        assert case.fmem_mb == 8
+
+    def test_miss_heavy_cases_gate_above_parity(self):
+        payload = {
+            "canonical_speedup": 9.0,
+            "cases": [
+                {"workload": "hot-mix", "speedup": 9.0,
+                 "counters_match": True},
+                {"workload": "page-rank-miss", "speedup": 1.1,
+                 "counters_match": True},
+            ],
+        }
+        failures = check_speedup(payload, 1.0)
+        assert len(failures) == 1
+        assert "page-rank-miss" in failures[0] and "1.3x" in failures[0]
+        # An explicit floor map overrides the default miss-heavy bars.
+        assert check_speedup(payload, 1.0, case_floors={}) == []
+
+    def test_generic_floor_still_applies(self):
+        payload = {
+            "canonical_speedup": 9.0,
+            "cases": [{"workload": "hot-mix", "speedup": 0.9,
+                       "counters_match": True}],
+        }
+        failures = check_speedup(payload, 1.0)
+        assert len(failures) == 1 and "hot-mix" in failures[0]
