@@ -264,9 +264,8 @@ RUNTIME_QUICK_CASES = (
 )
 
 #: The streaming scale point: accesses replayed from a memory-mapped
-#: columnar trace in fixed chunks (a multiple of the 256-access
-#: maintenance cadence, so the stream is bit-identical to a monolithic
-#: run — which is verified, not assumed).
+#: columnar trace in fixed chunks (the stream is bit-identical to a
+#: monolithic run — which is verified, not assumed).
 STREAMING_CASE_ACCESSES = 2_000_000
 STREAMING_CHUNK = 1 << 18
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from multiprocessing import Pool
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -39,11 +39,6 @@ from ..common.errors import ConfigError
 from ..common.stats import Counter
 from ..kona.runtime import ENGINES
 from ..workloads.trace import open_columnar
-
-#: The engine maintenance cadence (see ``repro.kona.engine._CADENCE``):
-#: all but the last chunk handed to ``run_trace_stream`` must be a
-#: multiple of this for bit-exact equivalence with a monolithic run.
-_CADENCE = 256
 
 
 @dataclass(frozen=True)
@@ -69,9 +64,9 @@ class ShardSpec:
         if not 0 <= self.shard < self.num_shards:
             raise ConfigError(f"shard {self.shard} outside "
                               f"[0, {self.num_shards})")
-        if self.chunk_size <= 0 or self.chunk_size % _CADENCE:
-            raise ConfigError(f"chunk_size {self.chunk_size} must be a "
-                              f"positive multiple of {_CADENCE}")
+        if self.chunk_size <= 0:
+            raise ConfigError(f"chunk_size {self.chunk_size} must be "
+                              f"positive")
         if self.engine not in ENGINES:
             raise ConfigError(f"unknown run_trace engine {self.engine!r}; "
                               f"choose one of {', '.join(ENGINES)}")
@@ -163,35 +158,6 @@ def shard_mask(addrs: np.ndarray, shard: int, num_shards: int,
     return pages % np.uint64(num_shards) == np.uint64(shard)
 
 
-def _aligned_chunks(parts: Iterator[Tuple[np.ndarray, np.ndarray]]
-                    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Re-chunk a filtered stream to maintenance-cadence multiples.
-
-    Partition filtering leaves ragged chunk lengths; buffering to
-    ``_CADENCE`` multiples keeps ``run_trace_stream``'s bit-exactness
-    contract (only the final chunk may be ragged).
-    """
-    addr_parts: List[np.ndarray] = []
-    write_parts: List[np.ndarray] = []
-    buffered = 0
-    for addrs, writes in parts:
-        if not addrs.size:
-            continue
-        addr_parts.append(addrs)
-        write_parts.append(writes)
-        buffered += int(addrs.size)
-        if buffered >= _CADENCE:
-            addr_buf = np.concatenate(addr_parts)
-            write_buf = np.concatenate(write_parts)
-            emit = buffered - (buffered % _CADENCE)
-            yield addr_buf[:emit], write_buf[:emit]
-            addr_parts = [addr_buf[emit:]]
-            write_parts = [write_buf[emit:]]
-            buffered -= emit
-    if buffered:
-        yield np.concatenate(addr_parts), np.concatenate(write_parts)
-
-
 def run_shard(spec: ShardSpec) -> ShardOutcome:
     """Execute one shard (module-level: picklable for the pool).
 
@@ -218,8 +184,8 @@ def run_shard(spec: ShardSpec) -> ShardOutcome:
                 yield (addrs[keep].astype(np.int64),
                        np.asarray(writes[keep]))
 
-    report = rt.run_trace_stream(_aligned_chunks(parts()),
-                                 engine=spec.engine, base=region.start)
+    report = rt.run_trace_stream(parts(), engine=spec.engine,
+                                 base=region.start)
     counters = Counter()
     counters.merge(rt.counters)
     counters.add("shard_accesses", report.accesses)

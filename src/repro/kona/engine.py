@@ -1,10 +1,10 @@
-"""The batched ``run_trace`` engine: bulk hits, replayed events.
+"""The batched trace engine: bulk hits, replayed events.
 
-``KonaRuntime.run_trace`` used to execute one Python call chain per
-access (``runtime.access`` -> ``CoherentCache.access`` -> directory ->
-``MemoryAgent``).  On paper-scale traces almost every access is a pure
-CPU-cache hit that touches nothing below the cache, so this engine
-splits the stream:
+The scalar oracle (``KonaRuntime._run_trace_scalar``) executes one
+Python call chain per access (``runtime.access`` ->
+``CoherentCache.access`` -> directory -> ``MemoryAgent``).  On
+paper-scale traces almost every access is a pure CPU-cache hit that
+touches nothing below the cache, so this engine splits the stream:
 
 * a vectorized front-end (:class:`VectorizedCoherentCache`, an ndarray
   mirror of the CPU coherent cache) classifies each span of accesses
@@ -21,13 +21,13 @@ classification stays valid up to the first non-pure access.  After
 each replayed event the front-end's hit masks are *patched* instead of
 recomputed: the evicted victim and any lines the directory invalidated
 mid-fill (FMem page evictions snoop every line of the victim page)
-become misses; the filled or upgraded line becomes a hit.  The
-256-access ``maybe_evict``/sampler-tick cadence is preserved by ending
-every span at a cadence point, and the trace is consumed in bounded
-chunks (no whole-trace ``tolist`` materialization).
+become misses; the filled or upgraded line becomes a hit.
 
-The scalar loop remains in :meth:`KonaRuntime.run_trace` as the
-differential-test oracle (``engine="scalar"``).
+One :func:`run_trace_batched` call consumes a whole chunk stream and
+holds the front-end, the fused miss lane, the vector/scalar mode and a
+global access position for all of it.  That position drives the
+256-access ``maybe_evict``/sampler-tick cadence and the causal-capture
+sequence numbers, so a stream may be cut into chunks anywhere.
 """
 
 from __future__ import annotations
@@ -49,21 +49,25 @@ from ..common.errors import AddressError
 if TYPE_CHECKING:
     from .runtime import KonaRuntime
 
-#: Trace chunk size; a multiple of the 256-access maintenance cadence.
-#: Also the granularity of engine-mode adaptation, so it is kept small
-#: enough that a cold trace stops paying vectorization overhead quickly.
+#: Span size: the trace is consumed in bounded spans (no whole-trace
+#: ``tolist``).  Also the granularity of engine-mode adaptation, so a
+#: cold trace stops paying vectorization overhead quickly.
 _CHUNK = 1 << 14
 
-# Mode hysteresis (defaults: leave vectorized mode when more than
-# half of a chunk fell back to scalar replay; come back only after a
-# scalar chunk ran at >= 7/8 CPU-cache hits) lives in ``KonaConfig``:
-# ``batch_escape_density`` / ``batch_reenter_hits``, with
-# ``miss_replay_density`` gating per-segment replay.  The gap keeps a
-# ~50%-hit trace from oscillating (every switch re-imports or
-# re-exports the cache).  Escape is only consulted when the fused miss
-# lane is unavailable — with the lane, replayed misses are cheaper
-# than the dict-cache loop, so the engine never escapes (see
-# :class:`_FusedLane`).
+# Mode hysteresis: result-identical at any setting, these only steer
+# speed.  A classified segment is replayed access by access when at
+# least MISS_REPLAY_DENSITY of it misses, and a replayed segment that
+# also realizes fewer hits than that gate turns on sticky miss mode
+# (later segments skip classification until hits recover).  Without
+# the fused lane (tracing, extra agents, content shadow) the engine
+# escapes to the dict-cache loop when more than BATCH_ESCAPE_DENSITY
+# of a span was replayed, and re-enters after a scalar span reaches
+# BATCH_REENTER_HITS; the gap stops a ~50%-hit trace oscillating
+# (every switch re-exports or re-imports the cache).  With the lane,
+# replayed misses beat the dict-cache loop, so it never escapes.
+MISS_REPLAY_DENSITY = 0.5
+BATCH_ESCAPE_DENSITY = 0.5
+BATCH_REENTER_HITS = 0.875
 
 #: The ``i & 0xFF == 0`` maintenance period of the scalar loop.
 _CADENCE = 256
@@ -160,8 +164,8 @@ class _FusedLane:
         "d_snoops", "d_lines_snooped", "d_ext_inval", "d_pages_evicted",
     )
 
-    def __init__(self, rt: "KonaRuntime",
-                 front: VectorizedCoherentCache) -> None:
+    def __init__(self, rt: "KonaRuntime", front: VectorizedCoherentCache,
+                 miss_gate: float) -> None:
         agent = rt.agent
         fc = agent.fmem._cache
         latency = agent.latency
@@ -247,7 +251,7 @@ class _FusedLane:
         # effectively zero hits, letting the span driver skip
         # classification until the hit fraction recovers.
         self.miss_mode = False
-        self.miss_gate = 1.0 - rt.config.miss_replay_density
+        self.miss_gate = miss_gate
         self.marks: list = []
         self.d_cache_hits = 0
         self.d_cache_misses = 0
@@ -1020,99 +1024,104 @@ class _FusedLane:
             self.n_fmem_charges = 0
 
 
-def run_trace_batched(rt: "KonaRuntime", addrs: np.ndarray,
-                      writes: np.ndarray, base: int = 0,
-                      stall: float = 0.0) -> float:
-    """Execute the access stream; returns the accumulated stall ns.
+def run_trace_batched(rt: "KonaRuntime", chunks, base: int = 0
+                      ) -> Tuple[float, int]:
+    """Execute a stream of ``(addrs, writes)`` chunks; returns
+    ``(accumulated stall ns, accesses executed)``.
 
-    State-, counter- and latency-identical to the scalar loop,
-    including mid-trace exceptions: an out-of-range address raises
-    :class:`AddressError` after the preceding accesses have fully
-    executed, and back-end failures (e.g. ``NodeFailure``) propagate
-    with the cache state at the failing access exported back.
+    State-, counter- and latency-identical to the scalar loop over the
+    concatenated stream, for any chunking, including mid-trace
+    exceptions: an out-of-range address raises :class:`AddressError`
+    after the preceding accesses have fully executed, and back-end
+    failures (e.g. ``NodeFailure``) propagate with the cache state at
+    the failing access exported back.
 
-    ``base`` rebases every address by a constant offset, applied per
-    chunk — streamed columnar traces store region-relative addresses
-    and never materialize a rebased copy of the whole trace.  ``stall``
-    seeds the accumulator so streamed chunks continue one float
-    summation chain (see the ordering contract on :class:`_FusedLane`).
+    The call is the engine session: the front-end is imported on the
+    first vectorized span and exported in the ``finally`` (in between
+    only around an escape to the dict-cache loop), and one float stall
+    chain runs through every chunk in program order (see the ordering
+    contract on :class:`_FusedLane`).  The chunk iterator must not
+    touch ``rt`` while the session holds its CPU-cache state.  ``base``
+    rebases every address by a constant offset, applied per span —
+    streamed columnar traces store region-relative addresses and never
+    materialize a rebased copy of the whole trace.
     """
-    n = int(addrs.size)
-    cfg = rt.config
-    # Threshold fractions; at the config defaults every comparison is
-    # arithmetically identical to the historical integer forms (the
-    # fractions are dyadic and the operands small, so the float
-    # products are exact).
-    escape_frac = cfg.batch_escape_density
-    reenter_frac = cfg.batch_reenter_hits
-    miss_gate = 1.0 - cfg.miss_replay_density
+    # Read per call, so the differential tests can force degenerate
+    # dispatch choices by patching the module constants.
+    escape_frac = BATCH_ESCAPE_DENSITY
+    reenter_frac = BATCH_REENTER_HITS
+    miss_gate = 1.0 - MISS_REPLAY_DENSITY
     directory = rt.agent.directory
     front: VectorizedCoherentCache = None
     lane: Optional[_FusedLane] = None
     lane_ok = _FusedLane.eligible(rt)
     imported = False
+    vector_mode = True
     vf_start, vf_end = rt.vfmem.start, rt.vfmem.end
     tick = rt.obs.tick if rt.obs.sampler is not None else None
     maybe_evict = rt.maybe_evict
     counters = rt.counters
     # Causal capture numbers faults by global access ordinal: ``base``
-    # counts accesses completed before this run (streamed chunks), and
-    # each span/segment threads its chunk-relative offset down.
+    # counts accesses completed before this stream.
     cap = rt._capture
     seq_base = cap.base if cap is not None else 0
+    stall = 0.0
+    g = 0   # global position: drives cadence, capture seq, i0
     try:
-        pos = 0
-        vector_mode = True
-        while pos < n:
-            hi = min(pos + _CHUNK, n)
-            if not vector_mode:
-                # Scalar stretch (mode switches land on chunk = cadence
-                # boundaries, so maintenance timing is unchanged).
-                hits0 = counters["cache_hits"]
-                if cap is not None:
-                    cap.base = seq_base + pos
-                stall = rt._run_trace_scalar(addrs[pos:hi], writes[pos:hi],
-                                             stall, base=base)
-                hits = counters["cache_hits"] - hits0
-                vector_mode = hits >= (hi - pos) * reenter_frac
-                pos = hi
-                continue
-            if not imported:
-                front = VectorizedCoherentCache.from_scalar(rt.cpu_cache)
-                front.attach(directory)
-                front.record_mutations = True
-                imported = True
-                if lane_ok:
-                    lane = _FusedLane(rt, front)
-            a = np.asarray(addrs[pos:hi]).astype(np.int64, copy=False)
-            if base:
-                a = a + base
-            w = np.ascontiguousarray(writes[pos:hi], dtype=bool)
-            ok = (a >= vf_start) & (a < vf_end)
-            limit = a.size if ok.all() else int(ok.argmin())
-            tags = a >> _LINE_SHIFT
-            stall, replayed = _run_span(rt, front, tags[:limit], w[:limit],
-                                        pos, stall, maybe_evict, tick, lane,
-                                        seq_base + pos, miss_gate)
-            if limit < a.size:
-                # Same behaviour as the scalar loop: every access before
-                # the bad one has executed; the bad one raises.
-                raise AddressError(
-                    f"{int(a[limit]):#x} is not Kona-managed memory")
-            pos = hi
-            if lane is None and replayed > a.size * escape_frac:
-                # No fused lane (tracing, extra agents, content shadow):
-                # mostly-scalar replay is slower than the dict-cache
-                # loop, so export and run scalar until the trace turns
-                # hot again.  With the lane, replayed misses are faster
-                # than the dict path and the engine never escapes.
-                front.record_mutations = False
-                front.export_to(rt.cpu_cache)
-                rt.cpu_cache.attach(directory)
-                imported = False
-                vector_mode = False
+        for addrs, writes in chunks:
+            n = int(addrs.size)
+            for pos in range(0, n, _CHUNK):
+                hi = min(pos + _CHUNK, n)
+                if not vector_mode:
+                    hits0 = counters["cache_hits"]
+                    if cap is not None:
+                        cap.base = seq_base + g
+                    stall = rt._run_trace_scalar(addrs[pos:hi],
+                                                 writes[pos:hi], stall,
+                                                 base=base, i0=g)
+                    hits = counters["cache_hits"] - hits0
+                    vector_mode = hits >= (hi - pos) * reenter_frac
+                    g += hi - pos
+                    continue
+                if not imported:
+                    front = VectorizedCoherentCache.from_scalar(rt.cpu_cache)
+                    front.attach(directory)
+                    front.record_mutations = True
+                    imported = True
+                    if lane_ok:
+                        lane = _FusedLane(rt, front, miss_gate)
+                a = np.asarray(addrs[pos:hi]).astype(np.int64, copy=False)
+                if base:
+                    a = a + base
+                w = np.ascontiguousarray(writes[pos:hi], dtype=bool)
+                ok = (a >= vf_start) & (a < vf_end)
+                limit = a.size if ok.all() else int(ok.argmin())
+                tags = a >> _LINE_SHIFT
+                stall, replayed = _run_span(rt, front, tags[:limit],
+                                            w[:limit], g, stall,
+                                            maybe_evict, tick, lane,
+                                            seq_base + g, miss_gate)
+                if limit < a.size:
+                    # Same behaviour as the scalar loop: every access
+                    # before the bad one has executed; the bad one
+                    # raises.
+                    raise AddressError(
+                        f"{int(a[limit]):#x} is not Kona-managed memory")
+                g += a.size
+                if lane is None and replayed > a.size * escape_frac:
+                    # No fused lane (tracing, extra agents, content
+                    # shadow): mostly-scalar replay is slower than the
+                    # dict-cache loop, so export and run scalar until
+                    # the trace turns hot again.  With the lane,
+                    # replayed misses are faster than the dict path and
+                    # the engine never escapes.
+                    front.record_mutations = False
+                    front.export_to(rt.cpu_cache)
+                    rt.cpu_cache.attach(directory)
+                    imported = False
+                    vector_mode = False
         if cap is not None:
-            cap.base = seq_base + n
+            cap.base = seq_base + g
     finally:
         if lane is not None:
             lane.flush()
@@ -1120,7 +1129,7 @@ def run_trace_batched(rt: "KonaRuntime", addrs: np.ndarray,
             front.record_mutations = False
             front.export_to(rt.cpu_cache)
             rt.cpu_cache.attach(directory)
-    return stall
+    return stall, g
 
 
 def _run_span(rt: "KonaRuntime", front: VectorizedCoherentCache,
@@ -1128,11 +1137,12 @@ def _run_span(rt: "KonaRuntime", front: VectorizedCoherentCache,
               maybe_evict, tick,
               lane: Optional[_FusedLane] = None,
               seq0: int = 0, miss_gate: float = 0.5) -> Tuple[float, int]:
-    """Run one chunk, segmented at the maintenance cadence.
+    """Run one span, segmented at the maintenance cadence.
 
-    The scalar loop runs ``maybe_evict``/``obs.tick`` *after* access
-    ``i`` whenever ``i % 256 == 0``, so each segment extends through
-    the next cadence index and maintenance fires at its end.  Returns
+    The scalar loop runs ``maybe_evict``/``obs.tick`` *after* global
+    access ``i`` whenever ``i % 256 == 0``, so each segment extends
+    through the next cadence index and maintenance fires at its end;
+    ``g_base`` is the span's global position.  Returns
     ``(stall, accesses handled by scalar replay)`` — the second value
     feeds the caller's miss-heavy escape hatch.
     """

@@ -543,37 +543,11 @@ class KonaRuntime:
         """Execute an access stream; returns the same report shape as
         the page-based engine, so Figure 7 can compare them directly.
 
-        ``engine="batched"`` (default) bulk-resolves pure CPU-cache
-        hits through the vectorized front-end and replays everything
-        else through the scalar back-end (see :mod:`repro.kona.engine`);
-        ``engine="scalar"`` is the one-access-at-a-time oracle.  Both
-        produce bit-identical reports, counters and component state.
-
-        ``base`` adds a constant offset to every address as it is
-        consumed — streamed columnar traces store region-relative
-        addresses, and rebasing per chunk avoids materializing a
-        shifted copy of a 100M-entry array.
+        A one-chunk :meth:`run_trace_stream`; see there for ``engine``
+        and ``base``.
         """
-        engine = self._resolve_engine(engine)
-        if addrs.shape != writes.shape:
-            raise ConfigError("addrs and writes must have identical shape")
-        if engine == "batched":
-            stall = run_trace_batched(self, addrs, writes, base=base)
-        else:
-            stall = self._run_trace_scalar(addrs, writes, base=base)
-        app = self.app_ns_per_access * addrs.size
-        self.account.charge("app_compute", app)
-        return ExecutionReport(
-            name="kona",
-            accesses=int(addrs.size),
-            elapsed_ns=stall + app,
-            background_ns=self.background_ns,
-            account=self.account,
-            counters=self.counters,
-            bytes_fetched=(self.agent.counters["remote_fetches"]
-                           * self.config.fetch_block),
-            bytes_written_back=self.eviction.stats.wire_bytes,
-        )
+        return self.run_trace_stream([(addrs, writes)], engine=engine,
+                                     base=base)
 
     def _resolve_engine(self, engine: str) -> str:
         """Validate a trace-replay engine name; the one actually run.
@@ -593,41 +567,39 @@ class KonaRuntime:
                          base: int = 0) -> ExecutionReport:
         """Execute a chunked access stream without holding it in RAM.
 
-        ``chunks`` yields ``(addrs, writes)`` array pairs (e.g. from
-        :func:`repro.workloads.trace.iter_trace_chunks`).  Every chunk
-        except the last must be a multiple of the 256-access
-        maintenance cadence, which makes the ``maybe_evict``/sampler
-        schedule — and therefore every counter and the bit-exact
-        ``elapsed_ns`` — identical to one monolithic ``run_trace`` over
-        the concatenated trace.  One float stall-accumulation chain
-        threads through all chunks (see the ordering contract in
-        ``docs/architecture.md``).
+        ``chunks`` yields ``(addrs, writes)`` array pairs of any sizes
+        (e.g. from :func:`repro.workloads.trace.iter_trace_chunks`);
+        the result — every counter and the bit-exact ``elapsed_ns`` —
+        is identical to one replay of the concatenated trace, however
+        it is cut.  ``engine="batched"`` (default) bulk-resolves pure
+        CPU-cache hits through the vectorized front-end and replays
+        everything else through the scalar back-end, in one engine
+        call for the whole stream (see :mod:`repro.kona.engine`);
+        ``engine="scalar"`` is the one-access-at-a-time oracle.  Both
+        produce bit-identical reports, counters and component state.
+
+        ``base`` adds a constant offset to every address as it is
+        consumed — streamed columnar traces store region-relative
+        addresses, and rebasing per chunk avoids materializing a
+        shifted copy of a 100M-entry array.
         """
         engine = self._resolve_engine(engine)
-        stall = 0.0
-        total = 0
-        pending = False   # a non-multiple chunk must be the last one
-        for addrs, writes in chunks:
-            if addrs.shape != writes.shape:
-                raise ConfigError("addrs and writes must have identical "
-                                  "shape")
-            if pending:
-                raise ConfigError(
-                    "streamed chunks must be multiples of the 256-access "
-                    "maintenance cadence (only the final chunk may be "
-                    "ragged)")
-            n = int(addrs.size)
-            if n == 0:
-                continue
-            if n % 256:
-                pending = True
-            if engine == "batched":
-                stall = run_trace_batched(self, addrs, writes, base=base,
-                                          stall=stall)
-            else:
+
+        def checked():
+            for addrs, writes in chunks:
+                if addrs.shape != writes.shape:
+                    raise ConfigError("addrs and writes must have "
+                                      "identical shape")
+                yield addrs, writes
+
+        if engine == "batched":
+            stall, total = run_trace_batched(self, checked(), base=base)
+        else:
+            stall, total = 0.0, 0
+            for addrs, writes in checked():
                 stall = self._run_trace_scalar(addrs, writes, stall,
-                                               base=base)
-            total += n
+                                               base=base, i0=total)
+                total += int(addrs.size)
         app = self.app_ns_per_access * total
         self.account.charge("app_compute", app)
         return ExecutionReport(
@@ -643,14 +615,16 @@ class KonaRuntime:
         )
 
     def _run_trace_scalar(self, addrs: np.ndarray, writes: np.ndarray,
-                          stall: float = 0.0, base: int = 0) -> float:
+                          stall: float, base: int, i0: int) -> float:
         """The oracle loop: one Python call chain per access.
 
         Iterates the trace in fixed-size chunks so large traces never
         materialize whole-array ``tolist`` copies.  ``stall`` seeds the
-        accumulator so a caller (the batched engine's scalar stretches)
-        can continue one float-accumulation chain — float addition is
-        not associative, and the engines must agree bit for bit.
+        accumulator so a caller (streamed chunks, the batched engine's
+        scalar stretches) can continue one float-accumulation chain —
+        float addition is not associative, and the engines must agree
+        bit for bit.  ``i0`` is the stream position of ``addrs[0]``,
+        which keeps the maintenance cadence global.
         """
         access = self.access
         maybe_evict = self.maybe_evict
@@ -658,7 +632,7 @@ class KonaRuntime:
         # none is attached instead of paying a call every 256 accesses.
         tick = self.obs.tick if self.obs.sampler is not None else None
         n = int(addrs.size)
-        i = 0
+        i = i0
         for pos in range(0, n, _SCALAR_CHUNK):
             hi = min(pos + _SCALAR_CHUNK, n)
             for addr, is_write in zip(addrs[pos:hi].tolist(),

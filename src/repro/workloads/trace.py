@@ -349,9 +349,9 @@ def iter_trace_chunks(path: str, chunk_size: int = 1 << 20
     """Stream ``(addrs, writes)`` chunks from a columnar trace.
 
     The convenience entry point for
-    :meth:`repro.kona.runtime.KonaRuntime.run_trace_stream`; keep
-    ``chunk_size`` a multiple of the 256-access maintenance cadence so
-    a streamed replay is bit-identical to a monolithic one.
+    :meth:`repro.kona.runtime.KonaRuntime.run_trace_stream`; a
+    streamed replay is bit-identical to a monolithic one at any
+    ``chunk_size``.
     """
     yield from open_columnar(path).iter_chunks(chunk_size)
 
@@ -374,6 +374,8 @@ def generate_hot_mix_stream(path: str, num_accesses: int,
     """
     if num_accesses <= 0:
         raise ConfigError(f"num_accesses {num_accesses} must be positive")
+    if chunk_size <= 0:
+        raise ConfigError(f"chunk_size {chunk_size} must be positive")
     total_lines = region_bytes // units.CACHE_LINE
     if hot_lines > total_lines:
         raise ConfigError(f"hot_lines {hot_lines} exceeds region "

@@ -256,10 +256,31 @@ class TestExecution:
                   "--vfmem-mb", "32", "--rss-ceiling-mb", "1"])
         assert exc.value.code == 1
 
-    def test_trace_replay_rejects_misaligned_chunk(self, tmp_path):
+    @pytest.mark.parametrize("chunk", ["0", "-5"])
+    def test_trace_replay_rejects_non_positive_chunk(self, tmp_path, chunk):
         with pytest.raises(SystemExit):
             main(["trace-replay", "--input", str(tmp_path),
-                  "--chunk", "300"])
+                  "--chunk", chunk])
+
+    def test_trace_replay_any_chunk_size_same_summary(self, capsys,
+                                                      tmp_path):
+        import json
+
+        trace = tmp_path / "hot.trace"
+        main(["trace-gen", "--out", str(trace), "--accesses", "20000",
+              "--hot-lines", "2048", "--region-mb", "8",
+              "--chunk", "8192"])
+        capsys.readouterr()
+        summaries = []
+        for chunk in ("8192", "1001"):
+            assert main(["trace-replay", "--input", str(trace),
+                         "--chunk", chunk, "--fmem-mb", "4",
+                         "--vfmem-mb", "32"]) == 0
+            summaries.append(json.loads(capsys.readouterr().out))
+        keys = ("elapsed_model_ns", "cache_hits", "cache_misses",
+                "remote_fetches", "pages_evicted")
+        assert ([summaries[0][k] for k in keys]
+                == [summaries[1][k] for k in keys])
 
     def test_trace_convert_round_trip(self, capsys, tmp_path):
         import numpy as np

@@ -7,7 +7,6 @@ from repro.common import units
 from repro.common.errors import ConfigError
 from repro.experiments.shard import (
     ShardSpec,
-    _aligned_chunks,
     make_shards,
     run_shard,
     run_sharded,
@@ -60,24 +59,7 @@ class TestPartition:
         with pytest.raises(ConfigError):
             ShardSpec("t", shard=0, num_shards=0)
         with pytest.raises(ConfigError):
-            ShardSpec("t", shard=0, num_shards=1, chunk_size=300)
-
-
-class TestAlignedChunks:
-    def test_rechunks_to_cadence_multiples(self):
-        rng = np.random.default_rng(1)
-        parts = []
-        for size in (100, 700, 50, 513, 256, 9):
-            parts.append((rng.integers(0, 999, size).astype(np.int64),
-                          rng.random(size) < 0.5))
-        chunks = list(_aligned_chunks(iter(parts)))
-        assert all(a.size % 256 == 0 for a, _ in chunks[:-1])
-        total = sum(size for size in (100, 700, 50, 513, 256, 9))
-        assert sum(a.size for a, _ in chunks) == total
-        # Order preserved: concatenation equals the input stream.
-        assert np.array_equal(
-            np.concatenate([a for a, _ in chunks]),
-            np.concatenate([a for a, _ in parts]))
+            ShardSpec("t", shard=0, num_shards=1, chunk_size=0)
 
 
 class TestShardedRun:
@@ -126,3 +108,20 @@ class TestShardedRun:
         assert batched.elapsed_ns == scalar.elapsed_ns
         assert batched.remote_fetches == scalar.remote_fetches
         assert batched.counters.as_dict() == scalar.counters.as_dict()
+
+    def test_unaligned_chunks_batched_matches_scalar(self, trace_dir):
+        # Page filtering leaves ragged per-shard chunks; at a chunk size
+        # off the 256-access cadence the sharded batched run must still
+        # equal the sharded scalar oracle and an aligned chunking.
+        def run(engine, chunk_size):
+            result = run_sharded(_specs(trace_dir, 2, engine=engine,
+                                        chunk_size=chunk_size,
+                                        capture=True),
+                                 processes=1)
+            return (result.totals.as_dict(),
+                    [o.elapsed_ns for o in result.outcomes],
+                    result.fault_log().aggregate())
+
+        batched = run("batched", 1000)
+        assert batched == run("scalar", 1000)
+        assert batched == run("batched", 1 << 13)

@@ -21,6 +21,7 @@ from repro.experiments.bench import (RUNTIME_QUICK_CASES, check_speedup,
 from repro.experiments.chaos import (REGION_BYTES, build_chaos_runtime,
                                      chaos_stream)
 from repro.experiments.shard import ShardSpec, make_shards, run_sharded
+from repro.kona import engine as engine_mod
 from repro.kona.config import KonaConfig
 from repro.kona.runtime import KonaRuntime
 from repro.obs import FlightRecorder
@@ -444,35 +445,15 @@ class TestStreamedAndSharded:
 
 
 class TestConfigKnobs:
-    def test_defaults(self):
-        cfg = KonaConfig(fmem_capacity=4 * u.MB, vfmem_capacity=64 * u.MB,
-                         slab_bytes=16 * u.MB)
-        assert cfg.miss_replay_density == 0.5
-        assert cfg.batch_escape_density == 0.5
-        assert cfg.batch_reenter_hits == 0.875
-
-    @pytest.mark.parametrize("field,value", [
-        ("miss_replay_density", 0.0),
-        ("miss_replay_density", 1.5),
-        ("batch_escape_density", -0.1),
-        ("batch_escape_density", 2.0),
-        ("batch_reenter_hits", -0.5),
-        ("batch_reenter_hits", 1.01),
-    ])
-    def test_out_of_range(self, field, value):
-        with pytest.raises(ConfigError):
-            KonaConfig(fmem_capacity=4 * u.MB, vfmem_capacity=64 * u.MB,
-                       slab_bytes=16 * u.MB, **{field: value})
-
-    def test_hysteresis_knobs_are_honored(self):
+    def test_hysteresis_knobs_are_honored(self, monkeypatch):
         # Degenerate thresholds flip the adaptive engine's mode
         # choices, but bit-identity with the oracle must hold at any
-        # legal setting — the knobs steer speed, never results.
+        # setting — the knobs steer speed, never results.
         for density in (0.01, 1.0):
-            assert_miss_identical(lambda: miss_heavy_trace(4_000, 41),
-                                  miss_replay_density=density,
-                                  batch_escape_density=density,
-                                  batch_reenter_hits=0.0)
+            monkeypatch.setattr(engine_mod, "MISS_REPLAY_DENSITY", density)
+            monkeypatch.setattr(engine_mod, "BATCH_ESCAPE_DENSITY", density)
+            monkeypatch.setattr(engine_mod, "BATCH_REENTER_HITS", 0.0)
+            assert_miss_identical(lambda: miss_heavy_trace(4_000, 41))
 
 
 class TestPerfGateFloors:

@@ -88,8 +88,10 @@ class TestCaptureCompleteness:
         region2 = rt2.mmap(12 * u.MB)
         cap2 = rt2.attach_causal_capture()
         addrs, writes = hot_cold_trace(30_000)
-        # Ragged 256-multiple chunks (only the last may be ragged).
-        cuts = [0, 4 * 256, 31 * 256, 64 * 256, 65 * 256, 30_000]
+        # Chunks cut anywhere, off the 256-access cadence, including a
+        # single-access one: fault seq numbers follow the global access
+        # position, so the merged aggregate cannot tell the cuts apart.
+        cuts = [0, 1000, 7937, 16_384, 16_385, 30_000]
         chunks = ((addrs[a:b], writes[a:b])
                   for a, b in zip(cuts, cuts[1:]))
         rt2.run_trace_stream(chunks, base=region2.start)

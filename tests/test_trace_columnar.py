@@ -205,3 +205,14 @@ class TestHotMixStream:
             generate_hot_mix_stream(str(tmp_path / "g"), 10,
                                     hot_lines=1 << 30,
                                     region_bytes=units.MB)
+
+    @pytest.mark.parametrize("chunk_size", [0, -5])
+    def test_rejects_non_positive_chunk_size(self, tmp_path, chunk_size):
+        # Zero used to surface as range()'s untyped ValueError, and a
+        # negative size silently wrote an empty trace.
+        path = tmp_path / "g"
+        with pytest.raises(ConfigError):
+            generate_hot_mix_stream(str(path), 1000, hot_lines=64,
+                                    region_bytes=units.MB,
+                                    chunk_size=chunk_size)
+        assert not path.exists()
