@@ -15,11 +15,14 @@ Usage::
     python -m repro dashboard [--from-artifact FLEET.json] [--html FILE]
                               [--fleet-out FILE] [--trace-out FILE]
                               [--tenant NAME] [--seed 0] [--ops 40000]
-                              [--check-overhead [--quick] [--output FILE]]
     python -m repro sweep [--processes N] [--ops 40000]
     python -m repro bench [--suite kcachesim|runtime] [--quick]
                           [--min-speedup 1.0] [--output FILE]
                           [--history FILE|none]
+        (the runtime suite times every case under the scalar, batched,
+         capture, fleet and tracing modes, checks every fingerprint
+         against scalar and the telemetry overhead budgets, and
+         writes BENCH_runtime.json)
     python -m repro trace [--out trace.json] [--prom FILE] [--jsonl FILE]
     python -m repro trace-gen --out DIR [--accesses N] [--chunk N]
                               [--hot-lines N] [--cold-fraction F]
@@ -32,7 +35,6 @@ Usage::
                                  [--fleet-out FILE] [--tenant NAME]
     python -m repro faults [--seed 0] [--ops 20000] [--top 10]
                            [--json FILE] [--trace-out FILE]
-                           [--check-overhead [--quick] [--output FILE]]
     python -m repro profile [--top 10] [--window-us 100]
     python -m repro perfdiff [--run-a A.json --run-b B.json]
                              [--against BENCH_runtime.json --tolerance 0.5]
@@ -53,6 +55,7 @@ from typing import Any, Callable, Dict, List
 
 from . import units
 from .analysis import paper, render_comparison, render_series, render_table
+from .common.errors import ConfigError
 from .experiments import (
     run_chaos,
     run_failover,
@@ -73,6 +76,7 @@ from .experiments import (
 from .experiments.bench import (
     BENCH_FILENAME,
     HISTORY_FILENAME,
+    MODE_BUDGETS,
     RUNTIME_BENCH_FILENAME,
     append_history,
     check_speedup,
@@ -315,6 +319,10 @@ def cmd_bench(args: argparse.Namespace) -> None:
               f"{fast_label} {case[fast_label]['seconds']:.3f}s  "
               f"speedup {case['speedup']:.1f}x  "
               f"counters {'ok' if case['counters_match'] else 'MISMATCH'}")
+        overheads = [f"{name} {case[name]['overhead']:.3f}x"
+                     for name in MODE_BUDGETS if name in case]
+        if overheads:
+            print(f"{'':>18s}  overhead vs batched: {'  '.join(overheads)}")
     streaming = payload.get("streaming")
     if streaming:
         print(f"{streaming['workload']:>18s}  "
@@ -332,13 +340,18 @@ def cmd_bench(args: argparse.Namespace) -> None:
           f"({payload['canonical_workload']}); report: {path}")
     if args.history != "none":
         print(f"history: {append_history(payload, args.history)}")
+    failures = check_speedup(payload, args.min_speedup)
+    if failures:
+        for msg in failures:
+            print(f"FAIL: {msg}")
+        raise SystemExit(1)
     if args.min_speedup is not None:
-        failures = check_speedup(payload, args.min_speedup)
-        if failures:
-            for msg in failures:
-                print(f"FAIL: {msg}")
-            raise SystemExit(1)
         print(f"speedup gate passed (>= {args.min_speedup}x)")
+    if args.suite == "runtime":
+        print("mode gate passed (fingerprints equal to scalar; hot-mix "
+              "overheads within " + ", ".join(
+                  f"{name} {budget}x"
+                  for name, budget in MODE_BUDGETS.items()) + ")")
 
 
 def cmd_trace_convert(args: argparse.Namespace) -> None:
@@ -507,38 +520,8 @@ def cmd_trace(args: argparse.Namespace) -> None:
           f"{health['degradations']} degradation(s)")
 
 
-def _faults_overhead(args: argparse.Namespace) -> None:
-    """The ``repro faults --check-overhead`` gate half."""
-    from .experiments.bench import RUNTIME_CANONICAL_CASE, RuntimeBenchCase
-    from .experiments.faults import (CAUSAL_BENCH_FILENAME,
-                                     check_capture_overhead,
-                                     run_causal_bench, write_causal_bench)
-    case = (RuntimeBenchCase("hot-mix", 150_000) if args.quick
-            else RUNTIME_CANONICAL_CASE)
-    payload = run_causal_bench(case, runs=2 if args.quick else 3)
-    result = payload["case"]
-    print(f"{result['workload']:>12s}  {result['num_accesses']:>9,} accesses  "
-          f"capture-off {result['off_seconds']:.3f}s  "
-          f"capture-on {result['on_seconds']:.3f}s  "
-          f"overhead {result['overhead']:.3f}x  "
-          f"({result['fault_records']:,} fault records, fingerprint "
-          f"{'ok' if result['fingerprint_matches'] else 'MISMATCH'})")
-    path = write_causal_bench(payload, args.output or CAUSAL_BENCH_FILENAME)
-    print(f"report: {path}")
-    failures = check_capture_overhead(payload)
-    if failures:
-        for msg in failures:
-            print(f"FAIL: {msg}")
-        raise SystemExit(1)
-    print(f"capture overhead gate passed "
-          f"(<= {result['max_overhead']:.2f}x, bit-identical state)")
-
-
 def cmd_faults(args: argparse.Namespace) -> None:
     """Causal fault attribution: hop breakdowns, hot maps, tail windows."""
-    if args.check_overhead:
-        _faults_overhead(args)
-        return
     from .experiments.faults import attribution_report, run_fault_campaign
     from .obs.export import fault_chain_trace
 
@@ -671,6 +654,13 @@ def _campaign_artifact(seed: int, ops: int) -> Dict[str, Any]:
                         meta={"seed": seed, "ops": ops})
 
 
+#: Benchmark name recorded in a BENCH_*.json -> the suite that produces it.
+_BENCH_SUITES: Dict[str, Callable[..., Dict[str, Any]]] = {
+    "kcachesim-engine-bench": run_bench,
+    "kona-runtime-engine-bench": run_runtime_bench,
+}
+
+
 def _perfdiff_bench(args: argparse.Namespace) -> None:
     """The bench-baseline gate half of ``repro perfdiff``."""
     with open(args.against) as fh:
@@ -682,10 +672,14 @@ def _perfdiff_bench(args: argparse.Namespace) -> None:
         current = records[-1]
         source = f"latest of {len(records)} history record(s)"
     else:
-        suite_runner = (run_runtime_bench
-                        if name == "kona-runtime-engine-bench" else run_bench)
+        runner = _BENCH_SUITES.get(name)
+        if runner is None:
+            raise ConfigError(
+                f"{args.against}: no history for benchmark {name!r} and "
+                f"no suite to measure it (known: "
+                f"{', '.join(sorted(_BENCH_SUITES))})")
         print(f"no history for {name!r}; measuring a quick run ...")
-        current = suite_runner(quick=True)
+        current = runner(quick=True)
         source = "fresh quick run"
     deltas = diff_bench(baseline, current, tolerance=args.tolerance)
     print(render_table(
@@ -766,38 +760,8 @@ def cmd_slo(args: argparse.Namespace) -> None:
         raise SystemExit(1)
 
 
-def _dashboard_overhead(args: argparse.Namespace) -> None:
-    """The ``repro dashboard --check-overhead`` gate half."""
-    from .experiments.bench import RUNTIME_CANONICAL_CASE, RuntimeBenchCase
-    from .experiments.fleet import (OBS_BENCH_FILENAME, check_fleet_overhead,
-                                    run_obs_bench, write_obs_bench)
-    case = (RuntimeBenchCase("hot-mix", 300_000) if args.quick
-            else RUNTIME_CANONICAL_CASE)
-    payload = run_obs_bench(case, runs=3)
-    result = payload["case"]
-    print(f"{result['workload']:>12s}  {result['num_accesses']:>9,} accesses  "
-          f"fleet-off {result['off_seconds']:.3f}s  "
-          f"fleet-on {result['on_seconds']:.3f}s  "
-          f"overhead {result['overhead']:.3f}x  "
-          f"({result['fleet_components']} components, "
-          f"{result['fault_records']:,} fault records, fingerprint "
-          f"{'ok' if result['fingerprint_matches'] else 'MISMATCH'})")
-    path = write_obs_bench(payload, args.output or OBS_BENCH_FILENAME)
-    print(f"report: {path}")
-    failures = check_fleet_overhead(payload)
-    if failures:
-        for msg in failures:
-            print(f"FAIL: {msg}")
-        raise SystemExit(1)
-    print(f"fleet observability overhead gate passed "
-          f"(<= {result['max_overhead']:.2f}x, bit-identical state)")
-
-
 def cmd_dashboard(args: argparse.Namespace) -> None:
     """Cluster dashboard: fleet artifact -> terminal summary + HTML."""
-    if args.check_overhead:
-        _dashboard_overhead(args)
-        return
     from .obs.dashboard import dashboard_text, write_dashboard
     from .obs.fleet import FleetRecorder
     if args.from_artifact:
@@ -915,14 +879,16 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker processes for the sweep command "
                              "(default: cpu count)")
     parser.add_argument("--quick", action="store_true",
-                        help="bench: small trace, fewer repeats")
+                        help="bench: small traces (the kcachesim suite "
+                             "also repeats less)")
     parser.add_argument("--suite", choices=["kcachesim", "runtime"],
                         default="kcachesim",
                         help="bench: kcachesim hierarchy engines or the "
                              "end-to-end runtime engines (run_trace)")
     parser.add_argument("--min-speedup", type=float, default=None,
-                        help="bench: fail unless the canonical case "
-                             "reaches this speedup")
+                        help="bench: also fail unless the canonical "
+                             "case reaches this speedup and every case "
+                             "its floor")
     parser.add_argument("--output", default=None,
                         help="bench: report output path (default depends "
                              "on --suite)")
@@ -941,9 +907,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="profile/faults: rows in the top tables")
     parser.add_argument("--json", default=None,
                         help="faults: write the attribution report JSON")
-    parser.add_argument("--check-overhead", action="store_true",
-                        help="faults/dashboard: run the capture- or "
-                             "fleet-overhead gate instead of the campaign")
     parser.add_argument("--from-artifact", default=None,
                         help="dashboard: render a saved fleet artifact "
                              "instead of running a campaign")

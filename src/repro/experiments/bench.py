@@ -27,7 +27,7 @@ import platform
 import subprocess
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -193,7 +193,7 @@ def run_bench(quick: bool = False,
     }
 
 
-# -- the end-to-end runtime suite (scalar vs batched run_trace) ----------------
+# -- the end-to-end runtime suite (the run_trace mode matrix) -----------------
 
 
 @dataclass(frozen=True)
@@ -250,13 +250,15 @@ RUNTIME_EXTRA_CASES = (
 
 #: Quick (CI) cases mirror the full suite's workload mix at small trace
 #: lengths so the perf gate's history records cover every committed
-#: baseline case except the 4M scale point.  The ``page-rank-miss``
+#: baseline case except the 4M scale point.  Hot-mix runs 300k
+#: accesses: at 150k a best-of-2 telemetry overhead was noisy enough
+#: to flake a 1.15x budget.  The ``page-rank-miss``
 #: entry is the miss-heavy canonical case at full size (150k accesses,
 #: seed 7, 8 MB FMem): ~99.6% of its accesses miss the front cache, so
 #: it exercises the fused miss-replay lane end to end and pins
 #: its speedup over the scalar oracle in every CI run.
 RUNTIME_QUICK_CASES = (
-    RuntimeBenchCase("hot-mix", 150_000),
+    RuntimeBenchCase("hot-mix", 300_000),
     RuntimeBenchCase("page-rank", 60_000, fmem_mb=8),
     RuntimeBenchCase("voltdb-tpcc", 60_000, fmem_mb=8),
     RuntimeBenchCase("page-rank", 150_000, fmem_mb=8,
@@ -270,13 +272,92 @@ STREAMING_CASE_ACCESSES = 2_000_000
 STREAMING_CHUNK = 1 << 18
 
 
-def _build_runtime(case: RuntimeBenchCase):
+def _build_runtime(case: RuntimeBenchCase, recorder=None):
     from ..kona.config import KonaConfig
     from ..kona.runtime import KonaRuntime
     cfg = KonaConfig(fmem_capacity=case.fmem_mb * units.MB,
                      vfmem_capacity=case.vfmem_mb * units.MB,
                      slab_bytes=16 * units.MB)
-    return KonaRuntime(cfg, app_ns_per_access=case.app_ns)
+    return KonaRuntime(cfg, app_ns_per_access=case.app_ns,
+                       recorder=recorder)
+
+
+def _build_captured(case: RuntimeBenchCase):
+    rt = _build_runtime(case)
+    rt.attach_causal_capture()
+    return rt
+
+
+def _build_fleet(case: RuntimeBenchCase):
+    rt = _build_runtime(case)
+    rt.obs.component = "runtime:bench"
+    rt.obs.tenant = "bench"
+    rt.attach_causal_capture()
+    return rt
+
+
+def _build_traced(case: RuntimeBenchCase):
+    from ..obs.recorder import FlightRecorder
+    return _build_runtime(case, FlightRecorder(tracing=True))
+
+
+def _captured_faults(rt) -> int:
+    # attach_causal_capture is idempotent: it returns the attached sink.
+    return rt.attach_causal_capture().log.n
+
+
+def _fleet_faults(rt) -> int:
+    from ..obs.fleet import FleetRecorder
+    fleet = FleetRecorder(name="bench")
+    for member in rt.fleet_members(tenant="bench"):
+        fleet.add(member)
+    log = fleet.fault_log()
+    return 0 if log is None else log.n
+
+
+@dataclass(frozen=True)
+class RuntimeMode:
+    """One column of the runtime suite's mode matrix.
+
+    ``build`` returns a fresh runtime for a case with the mode's
+    telemetry attached; ``engine`` is the ``run_trace`` engine.
+    ``faults``, when set, reads the mode's fault log after the timed
+    replay and returns its record count.  That read is timed on its
+    own as ``snapshot_seconds``: it is export-time work that scales
+    with the component count, not the access count.
+    """
+
+    name: str
+    engine: str
+    build: Callable[[RuntimeBenchCase], Any]
+    faults: Optional[Callable[[Any], int]] = None
+
+
+#: Every case of the runtime suite runs every mode.  ``scalar`` is the
+#: oracle every other mode's fingerprint must equal; ``batched`` is the
+#: fast engine; the telemetry modes are ``batched`` plus causal capture,
+#: plus fleet identity labels and capture (with the post-run
+#: ``FleetRecorder`` assembly), or plus the span tracer.
+RUNTIME_MODES = (
+    RuntimeMode("scalar", "scalar", _build_runtime),
+    RuntimeMode("batched", "batched", _build_runtime),
+    RuntimeMode("capture", "batched", _build_captured, _captured_faults),
+    RuntimeMode("fleet", "batched", _build_fleet, _fleet_faults),
+    RuntimeMode("tracing", "batched", _build_traced),
+)
+
+#: Telemetry overhead budgets, as ``mode_s / batched_s`` on the
+#: canonical hot-mix row; the miss-heavy rows are reported, not gated.
+#: Capture and fleet identity must observe for at most 15%.  Tracing
+#: measured 1.31x-1.71x (median 1.41x) over four best-of-3 runs of
+#: hot-mix 300k on a 2-vCPU x86_64 VM, with fingerprints bit-equal to
+#: untraced runs, so 2.0x catches a regression from there; the
+#: roadmap target of <= 1.15x waits for tracing on the fused miss lane.
+MODE_BUDGETS: Dict[str, float] = {
+    "capture": 1.15,
+    "fleet": 1.15,
+    "tracing": 2.0,
+}
 
 
 def _case_trace(case: RuntimeBenchCase):
@@ -345,55 +426,70 @@ def runtime_fingerprint(rt, report) -> Dict[str, object]:
     }
 
 
-def _fingerprint_diff(a: Dict[str, object], b: Dict[str, object]) -> str:
+def _fingerprint_diff(a: Dict[str, object], b: Dict[str, object],
+                      name_a: str, name_b: str) -> str:
     """Human-readable summary of which fingerprint sections diverged."""
     parts = []
     for key in a:
         if a[key] != b[key]:
-            parts.append(f"{key}: scalar={a[key]!r} batched={b[key]!r}")
+            parts.append(f"{key}: {name_a}={a[key]!r} {name_b}={b[key]!r}")
     return "; ".join(parts) or "<no differing section?>"
 
 
-def run_runtime_case(case: RuntimeBenchCase, scalar_runs: int = 2,
-                     batched_runs: int = 3) -> Dict[str, object]:
-    """Time both run_trace engines end to end; verify identical state.
+def run_runtime_case(case: RuntimeBenchCase, runs: int = 3
+                     ) -> Dict[str, object]:
+    """Time every mode of :data:`RUNTIME_MODES` end to end on one case.
 
-    Every run gets a freshly built runtime (the engines must not share
-    warmed state); runs are interleaved for the same reason as the
-    kcachesim suite.  Hot-mix cases run an untimed warmup sweep before
-    the timed trace (both engines, identically).  A fingerprint
-    mismatch — any counter, the dirty bitmap, or the report's
-    elapsed_ns — fails the benchmark.
+    Every run gets a freshly built runtime (modes must not share warmed
+    state); runs are interleaved across modes for the same reason as
+    the kcachesim suite, and each mode keeps its best-of-``runs``
+    replay time.  Hot-mix cases run an untimed warmup sweep before the
+    timed trace (every mode, identically).  Before any timing is
+    trusted, every mode's full cross-layer fingerprint must equal the
+    scalar oracle's, and every mode with a fault log must hold exactly
+    one record per cache miss; either failure raises.
     """
     warm_addrs, warm_writes, addrs0, writes, mem_bytes, n = _case_trace(case)
-    runs = {"scalar": max(scalar_runs, 1), "batched": max(batched_runs, 1)}
-    timings: Dict[str, float] = {e: float("inf") for e in runs}
+    runs = max(runs, 1)
+    seconds = {mode.name: float("inf") for mode in RUNTIME_MODES}
+    snapshot_seconds: Dict[str, float] = {}
+    fault_records: Dict[str, int] = {}
     fingerprints: Dict[str, Dict[str, object]] = {}
-    schedule = [engine
-                for i in range(max(runs.values()))
-                for engine in ("scalar", "batched") if i < runs[engine]]
-    for engine in schedule:
-        rt = _build_runtime(case)
-        region = rt.mmap(mem_bytes)
-        base = np.int64(region.start)
-        if warm_addrs is not None:
-            rt.run_trace(warm_addrs + base, warm_writes, engine=engine)
-        addrs = addrs0 + base
-        t0 = time.perf_counter()
-        report = rt.run_trace(addrs, writes, engine=engine)
-        timings[engine] = min(timings[engine], time.perf_counter() - t0)
-        fingerprints[engine] = runtime_fingerprint(rt, report)
+    for _ in range(runs):
+        for mode in RUNTIME_MODES:
+            rt = mode.build(case)
+            base = np.int64(rt.mmap(mem_bytes).start)
+            if warm_addrs is not None:
+                rt.run_trace(warm_addrs + base, warm_writes,
+                             engine=mode.engine)
+            addrs = addrs0 + base
+            t0 = time.perf_counter()
+            report = rt.run_trace(addrs, writes, engine=mode.engine)
+            seconds[mode.name] = min(seconds[mode.name],
+                                     time.perf_counter() - t0)
+            if mode.faults is not None:
+                t0 = time.perf_counter()
+                fault_records[mode.name] = mode.faults(rt)
+                snapshot_seconds[mode.name] = min(
+                    snapshot_seconds.get(mode.name, float("inf")),
+                    time.perf_counter() - t0)
+            fingerprints[mode.name] = runtime_fingerprint(rt, report)
 
-    if fingerprints["scalar"] != fingerprints["batched"]:
-        raise SimulationError(
-            f"engine mismatch on {case.workload}: "
-            + _fingerprint_diff(fingerprints["scalar"],
-                                fingerprints["batched"]))
     fp = fingerprints["scalar"]
+    for name, other in fingerprints.items():
+        if other != fp:
+            raise SimulationError(
+                f"mode mismatch on {case.case_label}: "
+                + _fingerprint_diff(fp, other, "scalar", name))
+    misses = fp["runtime"].get("cache_misses", 0)
+    for name, records in fault_records.items():
+        if records != misses:
+            raise SimulationError(
+                f"{name} coverage hole on {case.case_label}: {records} "
+                f"fault records vs {misses} cache misses")
     hits = fp["runtime"].get("cache_hits", 0)
-    timed = fp["runtime"].get("cache_hits", 0) \
-        + fp["runtime"].get("cache_misses", 0)
-    return {
+    timed = hits + misses
+    row: Dict[str, object] = {
         "workload": case.case_label,
         "model": case.workload,
         "num_accesses": n,
@@ -402,17 +498,26 @@ def run_runtime_case(case: RuntimeBenchCase, scalar_runs: int = 2,
         "seed": case.seed,
         "fmem_mb": case.fmem_mb,
         "vfmem_mb": case.vfmem_mb,
-        "scalar": {"seconds": timings["scalar"], "runs": runs["scalar"],
-                   "maccesses_per_s": n / timings["scalar"] / 1e6},
-        "batched": {"seconds": timings["batched"], "runs": runs["batched"],
-                    "maccesses_per_s": n / timings["batched"] / 1e6},
-        "speedup": timings["scalar"] / timings["batched"],
+    }
+    for name, s in seconds.items():
+        entry = {"seconds": s, "runs": runs,
+                 "maccesses_per_s": n / s / 1e6}
+        if name in MODE_BUDGETS:
+            entry["overhead"] = s / seconds["batched"]
+        if name in fault_records:
+            entry["fault_records"] = fault_records[name]
+            entry["snapshot_seconds"] = snapshot_seconds[name]
+        row[name] = entry
+    row.update({
+        "speedup": seconds["scalar"] / seconds["batched"],
         "counters_match": True,
         "cpu_hit_ratio": round(hits / timed, 4) if timed else 0.0,
+        "cache_misses": misses,
         "remote_fetches": fp["agent"].get("remote_fetches", 0),
         "pages_evicted": fp["eviction"]["pages_evicted"],
         "elapsed_ns": fp["elapsed_ns"],
-    }
+    })
+    return row
 
 
 def run_streaming_case(num_accesses: int = STREAMING_CASE_ACCESSES,
@@ -458,7 +563,8 @@ def run_streaming_case(num_accesses: int = STREAMING_CASE_ACCESSES,
             raise SimulationError(
                 "streamed replay diverged from monolithic run_trace: "
                 + _fingerprint_diff(streamed_fp,
-                                    runtime_fingerprint(rt2, report2)))
+                                    runtime_fingerprint(rt2, report2),
+                                    "streamed", "monolithic"))
     return {
         "workload": "hot-mix-stream",
         "num_accesses": num_accesses,
@@ -484,10 +590,7 @@ def run_runtime_bench(quick: bool = False,
                  else (RUNTIME_CANONICAL_CASE, *RUNTIME_EXTRA_CASES))
     if streaming is None:
         streaming = not quick
-    scalar_runs = 1 if quick else 2
-    batched_runs = 2 if quick else 4
-    case_results = [run_runtime_case(c, scalar_runs, batched_runs)
-                    for c in cases]
+    case_results = [run_runtime_case(c) for c in cases]
     canonical = next(
         (c for c in case_results
          if c["workload"] == RUNTIME_CANONICAL_CASE.workload),
@@ -496,11 +599,14 @@ def run_runtime_bench(quick: bool = False,
         "benchmark": "kona-runtime-engine-bench",
         "version": 1,
         "quick": quick,
-        "methodology": ("best-of-N wall time per run_trace engine on "
-                        "identical traces, fresh runtime per run, "
-                        "untimed hot-set warmup where the case defines "
-                        "one; full cross-layer state fingerprints "
-                        "verified equal"),
+        "methodology": ("best-of-N wall time per run_trace mode "
+                        "(scalar, batched, batched + capture, fleet "
+                        "or tracing) on identical traces, modes "
+                        "interleaved, fresh runtime per run, untimed "
+                        "hot-set warmup where the case defines one; "
+                        "every mode's cross-layer state fingerprint "
+                        "verified equal to scalar; telemetry overhead "
+                        "= mode seconds / batched seconds"),
         "host": host_metadata(),
         "created_unix": int(time.time()),
         "cases": case_results,
@@ -607,18 +713,25 @@ RUNTIME_CASE_FLOORS: Dict[str, float] = {
 }
 
 
-def check_speedup(payload: Dict[str, object], min_speedup: float,
+def check_speedup(payload: Dict[str, object],
+                  min_speedup: Optional[float] = None,
                   min_case_speedup: float = 1.0,
                   case_floors: Optional[Dict[str, float]] = None,
                   ) -> List[str]:
-    """Regression gate: canonical speedup must reach ``min_speedup``,
-    and *every* committed case must reach ``min_case_speedup`` — the
-    batched engine being slower than the oracle anywhere is a
-    regression no canonical-case win excuses.
+    """Regression gate over a bench payload.
 
-    ``case_floors`` maps case labels to per-case floors that override
-    ``min_case_speedup`` (it defaults to :data:`RUNTIME_CASE_FLOORS`,
-    which raises the bar for the miss-heavy fused-lane cases).
+    Always enforced: every case's modes agreed with the scalar oracle
+    (``counters_match``), and on the canonical hot-mix row every
+    telemetry mode's overhead stays within :data:`MODE_BUDGETS`.
+
+    With ``min_speedup`` the speedups are gated too: the canonical
+    speedup must reach ``min_speedup``, and *every* committed case
+    must reach ``min_case_speedup`` — the batched engine being slower
+    than the oracle anywhere is a regression no canonical-case win
+    excuses.  ``case_floors`` maps case labels to per-case floors that
+    override ``min_case_speedup`` (it defaults to
+    :data:`RUNTIME_CASE_FLOORS`, which raises the bar for the
+    miss-heavy fused-lane cases).
 
     Returns a list of failure messages (empty when the gate passes).
     """
@@ -626,19 +739,27 @@ def check_speedup(payload: Dict[str, object], min_speedup: float,
         case_floors = RUNTIME_CASE_FLOORS
     failures = []
     got = payload["canonical_speedup"]
-    if got < min_speedup:
+    if min_speedup is not None and got < min_speedup:
         failures.append(
             f"canonical speedup {got:.2f}x below required {min_speedup}x")
     for case in payload.get("cases", ()):
         floor = max(min_case_speedup,
                     case_floors.get(case["workload"], min_case_speedup))
-        if case["speedup"] < floor:
+        if min_speedup is not None and case["speedup"] < floor:
             failures.append(
                 f"{case['workload']} speedup {case['speedup']:.2f}x below "
                 f"required {floor}x")
         if not case.get("counters_match", False):
-            failures.append(f"{case['workload']} counters diverged "
-                            f"between engines")
+            failures.append(f"{case['workload']} fingerprints diverged "
+                            f"between modes")
+        if case["workload"] != RUNTIME_CANONICAL_CASE.case_label:
+            continue
+        for name, budget in MODE_BUDGETS.items():
+            if name in case and case[name]["overhead"] > budget:
+                failures.append(
+                    f"{case['workload']} {name} overhead "
+                    f"{case[name]['overhead']:.3f}x exceeds the "
+                    f"{budget:.2f}x budget")
     streaming = payload.get("streaming")
     if streaming is not None and not streaming.get(
             "fingerprint_matches_monolithic", False):

@@ -148,6 +148,46 @@ class TestExecution:
                   "--history", str(history)])
         assert "REGRESSED" in capsys.readouterr().out
 
+    def test_perfdiff_unknown_suite_fails_before_measuring(self, capsys,
+                                                           tmp_path,
+                                                           monkeypatch):
+        import json
+
+        from repro import cli
+        from repro.common.errors import ConfigError
+
+        def measured(quick):
+            raise AssertionError("perfdiff measured an unknown suite")
+
+        for name in cli._BENCH_SUITES:
+            monkeypatch.setitem(cli._BENCH_SUITES, name, measured)
+        base_path = tmp_path / "BENCH_stub.json"
+        base_path.write_text(json.dumps(
+            {"benchmark": "kona-causal-capture-bench"}))
+        with pytest.raises(ConfigError, match="kona-causal-capture-bench"):
+            main(["perfdiff", "--against", str(base_path),
+                  "--history", "none"])
+        assert "measuring" not in capsys.readouterr().out
+
+    def test_bench_fails_on_budget_breach_without_min_speedup(
+            self, capsys, tmp_path, monkeypatch):
+        from repro import cli
+
+        row = {"workload": "hot-mix", "num_accesses": 1, "speedup": 9.0,
+               "counters_match": True,
+               "scalar": {"seconds": 0.9}, "batched": {"seconds": 0.1},
+               "capture": {"overhead": 1.2}}
+        payload = {"benchmark": "kona-runtime-engine-bench",
+                   "canonical_workload": "hot-mix",
+                   "canonical_speedup": 9.0, "cases": [row]}
+        monkeypatch.setattr(cli, "run_runtime_bench",
+                            lambda quick: payload)
+        with pytest.raises(SystemExit):
+            main(["bench", "--suite", "runtime", "--history", "none",
+                  "--output", str(tmp_path / "rt.json")])
+        assert "FAIL: hot-mix capture overhead 1.200x" in \
+            capsys.readouterr().out
+
     def test_slo_prints_alerts_and_verdicts(self, capsys):
         assert main(["slo", "--trace-ops", "4000"]) == 0
         out = capsys.readouterr().out

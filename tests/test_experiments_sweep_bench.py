@@ -1,21 +1,27 @@
-"""Tests for the parallel sweep runner and the engine benchmark."""
+"""Tests for the parallel sweep runner and the engine benchmarks."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.cache.amat import ALL_SYSTEMS
 from repro.common import units as u
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, SimulationError
+from repro.experiments import bench
 from repro.experiments.bench import (
     BENCH_FILENAME,
+    MODE_BUDGETS,
+    RUNTIME_MODES,
     BenchCase,
+    RuntimeBenchCase,
     append_history,
     check_speedup,
     history_record,
     load_history,
     run_bench,
     run_case,
+    run_runtime_case,
     write_bench,
 )
 from repro.experiments.sweep import (
@@ -118,6 +124,96 @@ class TestBench:
         assert check_speedup(payload, 1.5) == []
         failures = check_speedup(payload, 3.0)
         assert len(failures) == 1 and "2.00x" in failures[0]
+
+
+#: A small hot-mix case: every mode, one run, a few seconds in total.
+SMALL_RUNTIME_CASE = RuntimeBenchCase("hot-mix", 20_000, hot_lines=4096)
+
+
+class TestRuntimeModeRunner:
+    @pytest.fixture(scope="class")
+    def row(self):
+        return run_runtime_case(SMALL_RUNTIME_CASE, runs=1)
+
+    def test_every_mode_is_timed(self, row):
+        assert [m.name for m in RUNTIME_MODES] == [
+            "scalar", "batched", "capture", "fleet", "tracing"]
+        for mode in RUNTIME_MODES:
+            assert row[mode.name]["seconds"] > 0
+            assert row[mode.name]["runs"] == 1
+        assert row["counters_match"]
+        assert row["speedup"] == (row["scalar"]["seconds"]
+                                  / row["batched"]["seconds"])
+        for name in MODE_BUDGETS:
+            assert row[name]["overhead"] == (row[name]["seconds"]
+                                             / row["batched"]["seconds"])
+
+    def test_fault_records_equal_misses(self, row):
+        assert row["cache_misses"] > 0
+        for name in ("capture", "fleet"):
+            assert row[name]["fault_records"] == row["cache_misses"]
+            assert row[name]["snapshot_seconds"] >= 0
+
+    def test_perturbing_mode_is_named(self, monkeypatch):
+        def perturbed(case):
+            rt = bench._build_captured(case)
+            rt.counters.add("cache_hits")
+            return rt
+
+        monkeypatch.setattr(bench, "RUNTIME_MODES", tuple(
+            replace(m, build=perturbed) if m.name == "capture" else m
+            for m in RUNTIME_MODES))
+        with pytest.raises(SimulationError) as err:
+            run_runtime_case(SMALL_RUNTIME_CASE, runs=1)
+        message = str(err.value)
+        assert "runtime: scalar=" in message and " capture=" in message
+        assert "batched=" not in message
+
+    def test_fault_log_coverage_hole_raises(self, monkeypatch):
+        monkeypatch.setattr(bench, "RUNTIME_MODES", tuple(
+            replace(m, faults=lambda rt: 0) if m.name == "fleet" else m
+            for m in RUNTIME_MODES))
+        with pytest.raises(SimulationError, match="fleet coverage hole"):
+            run_runtime_case(SMALL_RUNTIME_CASE, runs=1)
+
+
+def _mode_payload(workload="hot-mix", **overheads):
+    """A hand-built runtime bench payload, every overhead at budget."""
+    row = {"workload": workload, "speedup": 9.0, "counters_match": True}
+    for name, budget in MODE_BUDGETS.items():
+        row[name] = {"overhead": overheads.get(name, budget)}
+    return {"canonical_speedup": 9.0, "cases": [row]}
+
+
+class TestModeBudgetGate:
+    def test_budgets(self):
+        assert MODE_BUDGETS == {"capture": 1.15, "fleet": 1.15,
+                                "tracing": 2.0}
+
+    def test_exactly_at_budget_passes(self):
+        assert check_speedup(_mode_payload()) == []
+        assert check_speedup(_mode_payload(), 1.0) == []
+
+    def test_capture_over_budget_fails(self):
+        failures = check_speedup(_mode_payload(capture=1.16))
+        assert len(failures) == 1
+        assert "capture overhead 1.160x" in failures[0]
+        assert "1.15x budget" in failures[0]
+
+    def test_tracing_over_budget_fails(self):
+        failures = check_speedup(_mode_payload(tracing=2.01))
+        assert len(failures) == 1 and "tracing overhead" in failures[0]
+
+    def test_fingerprint_mismatch_fails(self):
+        payload = _mode_payload()
+        payload["cases"][0]["counters_match"] = False
+        failures = check_speedup(payload)
+        assert len(failures) == 1 and "fingerprints diverged" in failures[0]
+
+    def test_miss_heavy_rows_are_reported_not_gated(self):
+        payload = _mode_payload("page-rank-miss", capture=1.25,
+                                fleet=1.44, tracing=3.4)
+        assert check_speedup(payload) == []
 
 
 class TestBenchHistory:
