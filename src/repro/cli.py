@@ -76,6 +76,7 @@ from .experiments import (
 from .experiments.bench import (
     BENCH_FILENAME,
     HISTORY_FILENAME,
+    MISS_HEAVY_BUDGETS,
     MODE_BUDGETS,
     RUNTIME_BENCH_FILENAME,
     append_history,
@@ -351,7 +352,10 @@ def cmd_bench(args: argparse.Namespace) -> None:
         print("mode gate passed (fingerprints equal to scalar; hot-mix "
               "overheads within " + ", ".join(
                   f"{name} {budget}x"
-                  for name, budget in MODE_BUDGETS.items()) + ")")
+                  for name, budget in MODE_BUDGETS.items())
+              + "; page-rank " + ", ".join(
+                  f"{name} {budget}x"
+                  for name, budget in MISS_HEAVY_BUDGETS.items()) + ")")
 
 
 def cmd_trace_convert(args: argparse.Namespace) -> None:

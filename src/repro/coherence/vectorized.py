@@ -154,19 +154,25 @@ class VectorizedCoherentCache:
         insert reproduces every set's LRU order at O(resident lines)
         cost — the tag map gives the resident slots without scanning
         the (mostly empty, capacity-sized) arrays.
+
+        Exporting ends the front-end's session: its tag map and
+        classify scratch are freed before the dicts are built, so the
+        dict cache reuses their memory instead of stacking on it.  Only
+        ``counters`` and ``occupancy`` stay readable afterwards.
         """
         if (cache.num_sets, cache.ways) != (self.num_sets, self.ways):
             raise CoherenceError("geometry mismatch on export")
+        idx = np.fromiter(self._tag_map.values(), dtype=np.int64,
+                          count=len(self._tag_map))
+        idx = idx[np.argsort(self._age_f[idx])]
+        self._tag_map = {}
+        self._cls_rows = self._cls_hits = None
         sets: List[Dict[int, LineState]] = [{} for _ in range(self.num_sets)]
         cache._sets = sets
-        if self._tag_map:
-            idx = np.fromiter(self._tag_map.values(), dtype=np.int64,
-                              count=len(self._tag_map))
-            idx = idx[np.argsort(self._age_f[idx])]
-            for sidx, tag, code in zip((idx // self.ways).tolist(),
-                                       self._tags_f[idx].tolist(),
-                                       self._state_f[idx].tolist()):
-                sets[sidx][tag * units.CACHE_LINE] = _STATE_OF[code]
+        for sidx, tag, code in zip((idx // self.ways).tolist(),
+                                   self._tags_f[idx].tolist(),
+                                   self._state_f[idx].tolist()):
+            sets[sidx][tag * units.CACHE_LINE] = _STATE_OF[code]
 
     # -- plumbing ----------------------------------------------------------------
 

@@ -238,7 +238,7 @@ class RuntimeBenchCase:
 RUNTIME_CANONICAL_CASE = RuntimeBenchCase("hot-mix", 1_000_000)
 
 #: Secondary coverage: real workload models at miss-heavy ratios (the
-#: adaptive engine's scalar-escape path) with an FMem small enough to
+#: fused miss-replay lane) with an FMem small enough to
 #: drive the eviction/writeback machinery, plus a 4M-access hot-mix
 #: scale point (4x the canonical) pinning throughput at trace lengths
 #: where per-run setup cost is fully amortized.
@@ -347,17 +347,36 @@ RUNTIME_MODES = (
 )
 
 #: Telemetry overhead budgets, as ``mode_s / batched_s`` on the
-#: canonical hot-mix row; the miss-heavy rows are reported, not gated.
-#: Capture and fleet identity must observe for at most 15%.  Tracing
-#: measured 1.31x-1.71x (median 1.41x) over four best-of-3 runs of
-#: hot-mix 300k on a 2-vCPU x86_64 VM, with fingerprints bit-equal to
-#: untraced runs, so 2.0x catches a regression from there; the
-#: roadmap target of <= 1.15x waits for tracing on the fused miss lane.
+#: canonical hot-mix row: capture and fleet identity must observe for
+#: at most 15%.  Traced runs ride the fused miss lane, which stages
+#: fills for the tracer in bulk; nine best-of-3 quick runs on a 2-vCPU
+#: x86_64 VM measured tracing at 1.01x-1.18x (a 0.1 s replay, so host
+#: noise alone crossed 1.15x once), hence 1.25x.
 MODE_BUDGETS: Dict[str, float] = {
     "capture": 1.15,
     "fleet": 1.15,
-    "tracing": 2.0,
+    "tracing": 1.25,
 }
+
+#: Budgets on the miss-heavy canonical row — page-rank, 150k accesses,
+#: 8 MB FMem (``page-rank-miss`` in the quick suite) — where nearly
+#: every access is a traced fill.  Each fill leaves two to three event
+#: dicts that the tracer must keep, and allocating and
+#: garbage-collecting them alone costs about 0.3-0.5x of the untraced
+#: replay: four best-of-3 quick runs on a 2-vCPU x86_64 VM measured
+#: tracing at 1.78x-2.23x (3.6x before traced runs rode the fused
+#: lane).  2.5x catches a fall back to per-event spans without flaking
+#: on that spread.
+#: Capture and fleet overheads on the miss-heavy rows are reported,
+#: not gated.
+MISS_HEAVY_BUDGETS: Dict[str, float] = {"tracing": 2.5}
+
+
+def _gated_rows(quick: bool) -> Dict[str, Dict[str, float]]:
+    """Row label -> overhead budgets checked on that row."""
+    miss_row = "page-rank-miss" if quick else "page-rank"
+    return {RUNTIME_CANONICAL_CASE.case_label: MODE_BUDGETS,
+            miss_row: MISS_HEAVY_BUDGETS}
 
 
 def _case_trace(case: RuntimeBenchCase):
@@ -721,8 +740,10 @@ def check_speedup(payload: Dict[str, object],
     """Regression gate over a bench payload.
 
     Always enforced: every case's modes agreed with the scalar oracle
-    (``counters_match``), and on the canonical hot-mix row every
-    telemetry mode's overhead stays within :data:`MODE_BUDGETS`.
+    (``counters_match``), on the canonical hot-mix row every telemetry
+    mode's overhead stays within :data:`MODE_BUDGETS`, and on the
+    miss-heavy page-rank row (``page-rank-miss`` in a quick payload)
+    tracing stays within :data:`MISS_HEAVY_BUDGETS`.
 
     With ``min_speedup`` the speedups are gated too: the canonical
     speedup must reach ``min_speedup``, and *every* committed case
@@ -737,6 +758,7 @@ def check_speedup(payload: Dict[str, object],
     """
     if case_floors is None:
         case_floors = RUNTIME_CASE_FLOORS
+    gated = _gated_rows(bool(payload.get("quick")))
     failures = []
     got = payload["canonical_speedup"]
     if min_speedup is not None and got < min_speedup:
@@ -752,9 +774,7 @@ def check_speedup(payload: Dict[str, object],
         if not case.get("counters_match", False):
             failures.append(f"{case['workload']} fingerprints diverged "
                             f"between modes")
-        if case["workload"] != RUNTIME_CANONICAL_CASE.case_label:
-            continue
-        for name, budget in MODE_BUDGETS.items():
+        for name, budget in gated.get(case["workload"], {}).items():
             if name in case and case[name]["overhead"] > budget:
                 failures.append(
                     f"{case['workload']} {name} overhead "

@@ -31,7 +31,7 @@ from ..common.stats import Counter
 from ..coherence.directory import Directory
 from ..coherence.states import CoherenceEvent, EventKind, Protocol
 from ..mem.address import AddressRange
-from ..obs.trace import Tracer
+from ..obs.trace import ROW_FMEM_FILL, ROW_REMOTE_FILL, Tracer
 from .bitmap import DirtyBitmap
 from .fmem import FMemCache
 from .prefetcher import NextPagePrefetcher, Prefetcher
@@ -125,11 +125,9 @@ class MemoryAgent:
                 # The fill span nests its RDMA read and any eviction it
                 # triggers; the critical-path cost is charged explicitly
                 # because the sim clock does not advance in here.
-                with tracer.span("fetch.fill", "fetch",
-                                 line=event.line_addr) as span:
+                with tracer.fill_span(event.line_addr) as span:
                     cost = self._serve_fill(event.line_addr)
-                    span.extend(cost)
-                    span.set(critical_ns=round(cost, 1))
+                    tracer.charge_fill(span, cost)
                 self._last_access_ns = cost
             else:
                 self._last_access_ns = self._serve_fill(event.line_addr)
@@ -186,7 +184,7 @@ class MemoryAgent:
             if cap is not None:
                 cap.record(cap.seq, line_addr, None, 0, 0.0, 0.0, cost)
             if tracing:
-                tracer.emit("fetch.fmem_hit", cost, "fetch")
+                tracer.fill_child(ROW_FMEM_FILL, None, 0.0, cost)
             # Stream detection also fires on hits — that is what keeps
             # a sequential scan ahead of the fetch engine.
             self._maybe_prefetch(line_addr)
@@ -208,8 +206,8 @@ class MemoryAgent:
             cap.record(cap.seq, line_addr, location.node, 1,
                        self.latency.coherence_msg_ns, read_ns, 0.0)
         if tracing:
-            tracer.emit("rdma.read", read_ns, "rdma", node=location.node,
-                        nbytes=units.CACHE_LINE)
+            tracer.fill_child(ROW_REMOTE_FILL, location.node, read_ns,
+                              critical)
         remainder = max(self.config.fetch_block - units.CACHE_LINE, 0)
         if remainder:
             fill = self.latency.rdma_per_byte_ns * remainder

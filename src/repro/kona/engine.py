@@ -11,10 +11,12 @@ touches nothing below the cache, so this engine splits the stream:
   and resolves runs of *pure hits* — resident lines, writable when
   written — in single numpy operations;
 * everything else (misses, S->M upgrades) is a *compressed event
-  stream* replayed one at a time, in program order, through the exact
-  same directory/MemoryAgent/FMem/eviction back-end the scalar path
-  uses — so directory traffic, FMem fills, dirty-bitmap marks,
-  eviction-handler work and the accumulated stall are bit-identical.
+  stream* replayed one at a time, in program order, by the fused miss
+  lane (:class:`_FusedLane`), which folds the scalar
+  directory/MemoryAgent/FMem chain into closed-form transitions over
+  the same back-end state — so directory traffic, FMem fills,
+  dirty-bitmap marks, eviction-handler work and the accumulated stall
+  are bit-identical.
 
 Pure hits never change another line's residency or writability, so a
 classification stays valid up to the first non-pure access.  After
@@ -24,10 +26,17 @@ mid-fill (FMem page evictions snoop every line of the victim page)
 become misses; the filled or upgraded line becomes a hit.
 
 One :func:`run_trace_batched` call consumes a whole chunk stream and
-holds the front-end, the fused miss lane, the vector/scalar mode and a
-global access position for all of it.  That position drives the
-256-access ``maybe_evict``/sampler-tick cadence and the causal-capture
-sequence numbers, so a stream may be cut into chunks anywhere.
+holds the front-end, the fused miss lane and a global access position
+for all of it.  That position drives the 256-access
+``maybe_evict``/sampler-tick cadence and the causal-capture sequence
+numbers, so a stream may be cut into chunks anywhere.
+
+Span tracing rides the lane too: fills that never leave it are staged
+as rows and turned into the scalar path's events in bulk
+(:meth:`repro.obs.trace.Tracer.record_fills`), so a traced run records
+exactly the scalar run's events.  The batched engine runs only where
+the lane's single-agent proofs hold (:meth:`_FusedLane.eligible`);
+``KonaRuntime`` runs every other runtime on the scalar engine.
 """
 
 from __future__ import annotations
@@ -45,6 +54,8 @@ from ..coherence.vectorized import (DOWNGRADED, EXCLUSIVE, INVALID,
                                     VectorizedCoherentCache)
 from ..common import units
 from ..common.errors import AddressError
+from ..obs.trace import (ROW_FMEM_FILL, ROW_REMOTE_FILL, ROW_UPGRADE,
+                         ROW_WRITEBACK)
 
 if TYPE_CHECKING:
     from .runtime import KonaRuntime
@@ -54,20 +65,13 @@ if TYPE_CHECKING:
 #: cold trace stops paying vectorization overhead quickly.
 _CHUNK = 1 << 14
 
-# Mode hysteresis: result-identical at any setting, these only steer
-# speed.  A classified segment is replayed access by access when at
-# least MISS_REPLAY_DENSITY of it misses, and a replayed segment that
-# also realizes fewer hits than that gate turns on sticky miss mode
-# (later segments skip classification until hits recover).  Without
-# the fused lane (tracing, extra agents, content shadow) the engine
-# escapes to the dict-cache loop when more than BATCH_ESCAPE_DENSITY
-# of a span was replayed, and re-enters after a scalar span reaches
-# BATCH_REENTER_HITS; the gap stops a ~50%-hit trace oscillating
-# (every switch re-exports or re-imports the cache).  With the lane,
-# replayed misses beat the dict-cache loop, so it never escapes.
+# Mode hysteresis: result-identical at any setting, this only steers
+# speed.  A classified segment is replayed access by access through
+# the fused lane when at least MISS_REPLAY_DENSITY of it misses, and a
+# replayed segment that also realizes fewer hits than that gate turns
+# on sticky miss mode (later segments skip classification until hits
+# recover).
 MISS_REPLAY_DENSITY = 0.5
-BATCH_ESCAPE_DENSITY = 0.5
-BATCH_REENTER_HITS = 0.875
 
 #: The ``i & 0xFF == 0`` maintenance period of the scalar loop.
 _CADENCE = 256
@@ -104,9 +108,9 @@ class _FusedLane:
 
     This lane fuses the chain.  It is *only* legal on the topology the
     runtime itself builds — exactly one caching agent (the CPU cache)
-    and exactly one directory observer (the memory agent), with
-    tracing off and no content shadow — which makes every directory
-    transition provable in closed form:
+    and exactly one directory observer (the memory agent), and no
+    content shadow — which makes every directory transition provable
+    in closed form:
 
     * a front-cache **miss** always finds the line's entry INVALID
       (cache evictions put the line back first), so GetS grants E
@@ -143,6 +147,19 @@ class _FusedLane:
     ``NodeFailure`` leaves counter state identical to the scalar run).
     Dirty-victim bitmap marks are buffered and flushed through
     ``DirtyBitmap.mark_lines`` under the same rules.
+
+    **Tracing.**  With the span tracer on, the lane records what
+    ``MemoryAgent._on_event`` would.  A fill that stays inside the lane
+    — an FMem hit, a remote fetch on a healthy rack, a victim drain of
+    a clean page — and the ``coherence.writeback``/``coherence.upgrade``
+    instants between fills are staged as rows, with the fill's cost
+    feeding the ``kona_access_stall_ns`` histogram at the same flush;
+    the rows go to ``Tracer.record_fills`` under the counter-delta
+    flush rules above.  A fill that calls out (a dirty victim drain, a
+    prefetch, a failure-aware locate, a generic fallback) runs inside
+    a real ``fetch.fill`` span, so nested ``evict.*``/``fetch.prefetch``
+    events keep their parent and timestamps.  The untraced replay loop
+    pays one local flag test per miss (one more per dirty victim).
     """
 
     __slots__ = (
@@ -155,6 +172,8 @@ class _FusedLane:
         "fmem_ns", "fmem_ns_exact", "fill_bg_ns", "has_remainder",
         "has_excl", "snoop_ns", "last_page",
         "pageres", "miss_mode", "miss_gate",
+        "tracing", "tracer", "clock", "observe_stall",
+        "trace_rows", "fill_line", "fill_span",
         "d_cache_hits", "d_cache_misses", "d_front_hits",
         "d_front_misses", "d_front_evictions", "d_front_upgrades",
         "d_get_s", "d_get_m", "d_put_m", "d_put_clean", "d_fmem_hits",
@@ -238,8 +257,12 @@ class _FusedLane:
         # pages keep the stripe scan.  Lists may carry stale or
         # duplicate tags (victim evictions don't consult this index) —
         # the tag-map probe filters both.  Disabled entirely under a
-        # prefetcher, whose fills this bookkeeping cannot see.
-        if self.prefetch is None:
+        # prefetcher, whose fills this bookkeeping cannot see, and
+        # under MSI: its read fills grant S, an S copy survives its
+        # page's drain, and when the page comes back the new list
+        # would miss that line (a later upgrade makes it snoopable).
+        # With an E state a single agent never holds S copies.
+        if self.prefetch is None and self.has_excl:
             pageres: Optional[dict] = {}
             for fm_lines in self.fm_lines:
                 for resident_page in fm_lines:
@@ -252,6 +275,27 @@ class _FusedLane:
         # classification until the hit fraction recovers.
         self.miss_mode = False
         self.miss_gate = miss_gate
+        # Span tracing (see _traced_fill).  Fills that never leave the
+        # lane, and the writeback/upgrade instants between them, are
+        # staged as ``(kind, line, node, read_ns, cost, now)`` rows and
+        # handed to Tracer.record_fills under the counter-delta flush
+        # rules; the stall histogram observes the staged fills at the
+        # same flush.  Rows between flushes span at most one 256-access
+        # cadence segment.
+        tracer = rt.obs.tracer
+        self.tracing = tracer.enabled
+        self.tracer = tracer
+        self.clock = tracer.clock
+        self.observe_stall = rt._stall_hist.observe
+        self.trace_rows: list = []
+        # The traced fill in progress, and its span once opened.
+        self.fill_line: Optional[int] = None
+        self.fill_span = None
+        if self.tracing and self.prefetch is not None:
+            # Every traced fill then calls out (its prefetch runs inside
+            # the fill span), so the inline replay has nothing to
+            # stage: route all segments through the run/patch path.
+            self.miss_gate = 0.0
         self.marks: list = []
         self.d_cache_hits = 0
         self.d_cache_misses = 0
@@ -284,15 +328,18 @@ class _FusedLane:
     def eligible(rt: "KonaRuntime") -> bool:
         """True when the fused single-agent proofs hold for ``rt``.
 
-        Tracing runs use the generic replay path (span/histogram hooks
-        fire per event there); extra observers or caching agents mean
-        directory transitions are no longer closed-form.
+        Extra observers or caching agents mean directory transitions
+        are no longer closed-form; a data plane must see every write,
+        bulk-resolved hits included; an extra eviction sink could record
+        events on a clean drain, which a traced fill stages as one row.
+        ``KonaRuntime`` runs any other runtime on the scalar engine.
         """
-        directory = rt.agent.directory
+        agent = rt.agent
+        directory = agent.directory
         return (rt.content is None
-                and not rt.obs.tracer.enabled
-                and directory._observers == [rt.agent._on_event]
-                and set(directory._agents) == {rt.cpu_cache.agent_id})
+                and directory._observers == [agent._on_event]
+                and set(directory._agents) == {rt.cpu_cache.agent_id}
+                and agent._eviction_sinks == [rt._eviction_sink])
 
     # -- access resolution ----------------------------------------------------
 
@@ -344,9 +391,12 @@ class _FusedLane:
                     self.d_put_m += 1
                     self.d_writebacks += 1
                     self.marks.append(victim_addr)
+                    if self.tracing:
+                        self._stage(ROW_WRITEBACK, victim_addr)
                 else:
                     # Unexpected entry: the real PutM validates (and
                     # raises) exactly like the scalar path would.
+                    self._flush_trace()
                     self.directory.put_modified(victim_addr, self.aid)
             else:
                 if (ventry is not None
@@ -383,7 +433,8 @@ class _FusedLane:
                 entry.owner = None
                 entry.sharers = {self.aid}
                 code = SHARED
-        cost = self._serve_fill(line)
+        cost = (self._traced_fill(line) if self.tracing
+                else self._serve_fill(line))
         self.agent._last_access_ns = cost
         # Insert only after the fill completed, mirroring miss_fill:
         # a snoop landing mid-fill finds the line absent.
@@ -402,7 +453,10 @@ class _FusedLane:
             # cannot see; stripe-scan the page on its next drain.
             self.pageres[line // self.page_size] = None
         victim_tag, code, flat = self.front.miss_fill(line, is_write, age)
-        return victim_tag, code, flat, self.agent._last_access_ns
+        cost = self.agent._last_access_ns
+        if self.tracing:
+            self.observe_stall(cost)
+        return victim_tag, code, flat, cost
 
     def upgrade(self, tag: int, age: int) -> None:
         """Write hit on a resident non-writable line (S/O -> M), fused."""
@@ -428,6 +482,8 @@ class _FusedLane:
         if self.eager:
             self.marks.append(line)
         self.d_upgrades_seen += 1
+        if self.tracing:
+            self._stage(ROW_UPGRADE, line)
         self.agent._last_access_ns = self.coh_ns
         front = self.front
         flat = front._tag_map[tag]
@@ -435,8 +491,12 @@ class _FusedLane:
         front._age_f[flat] = age
         self.d_front_upgrades += 1
 
-    def _serve_fill(self, line: int) -> float:
-        """Fused ``MemoryAgent._serve_fill``: FMem hit or remote fetch."""
+    def _serve_fill(self, line: int, record=None) -> float:
+        """Fused ``MemoryAgent._serve_fill``: FMem hit or remote fetch.
+
+        ``record(kind, line, node, read_ns, cost)``, when given, traces
+        the fill (see :meth:`_traced_fill`) before any prefetch.
+        """
         page_tag = line // self.page_size
         fm_sidx = page_tag & self.fm_set_mask
         fm_lines = self.fm_lines[fm_sidx]
@@ -459,6 +519,8 @@ class _FusedLane:
             if self.cap is not None:
                 self.cap.record(self.cap.seq, line, None, 0,
                                 0.0, 0.0, cost)
+            if record is not None:
+                record(ROW_FMEM_FILL, line, None, 0.0, cost)
             if self.prefetch is not None:
                 if self.marks:
                     self._flush_marks()
@@ -469,7 +531,7 @@ class _FusedLane:
         # frame, so a failed fetch cannot leave a dataless page
         # resident (same ordering as the scalar agent).
         self.d_remote += 1
-        location = self.locate(line)
+        node = self.locate(line).node
         self.d_stat_misses += 1
         self.d_fm_fills += 1
         policy = self.fm_policies[fm_sidx]
@@ -488,14 +550,16 @@ class _FusedLane:
             self.pageres[page_tag] = [line >> _LINE_SHIFT]
         if victim_page is not None:
             self.drain_page(victim_page)
-        read_ns = self.remote_read_ns(location.node, units.CACHE_LINE)
+        read_ns = self.remote_read_ns(node, units.CACHE_LINE)
         cost = self.coh_ns + read_ns
         if self.has_remainder:
             self.account.charge("fill_background", self.fill_bg_ns)
         self.account.charge("remote_fetch", cost)
         if self.cap is not None:
-            self.cap.record(self.cap.seq, line, location.node, 1,
+            self.cap.record(self.cap.seq, line, node, 1,
                             self.coh_ns, read_ns, 0.0)
+        if record is not None:
+            record(ROW_REMOTE_FILL, line, node, read_ns, cost)
         self.last_page = page_tag   # just inserted: the set's MRU
         if self.prefetch is not None:
             if self.marks:
@@ -503,6 +567,77 @@ class _FusedLane:
             self.prefetch(line)
             self.last_page = -1   # prefetch fills may reorder the LRU
         return cost
+
+    def _traced_fill(self, line: int) -> float:
+        """:meth:`_serve_fill` with span tracing on.
+
+        A fill that stays inside the lane is staged as one row.  A fill
+        that calls out of it — a prefetch, or a failure-aware locate
+        while a fabric node is down — runs inside a real ``fetch.fill``
+        span, opened as ``MemoryAgent._on_event`` opens it after the
+        staged rows go to the tracer, so the events it triggers keep
+        their parent.  A victim drain calls out only when it records
+        events (a dirty page): ``drain_page`` opens the span then, at
+        the virtual time it would have opened at, since nothing in the
+        fill before it moves the clock or records an event.
+        """
+        self.fill_line = line
+        page_tag = line // self.page_size
+        if self.prefetch is not None or (
+                self.fabric_down and page_tag
+                not in self.fm_lines[page_tag & self.fm_set_mask]):
+            self._open_fill_span()
+        try:
+            cost = self._serve_fill(line, self._record_fill)
+        except BaseException:
+            # The scalar span closes around the raise, cost-less.
+            if self.fill_span is None:
+                self._open_fill_span()
+            self.fill_span.__exit__(None, None, None)
+            raise
+        finally:
+            self.fill_line = None
+            span, self.fill_span = self.fill_span, None
+        if span is None:
+            return cost   # staged; observed when the rows are flushed
+        self.tracer.charge_fill(span, cost)
+        span.__exit__(None, None, None)
+        self.observe_stall(cost)
+        return cost
+
+    def _open_fill_span(self) -> None:
+        """Open the pending fill's real span (see :meth:`_traced_fill`)."""
+        self._flush_trace()
+        span = self.tracer.fill_span(self.fill_line)
+        span.__enter__()
+        self.fill_span = span
+
+    def _record_fill(self, kind: int, line: int, node: Optional[str],
+                     read_ns: float, cost: float) -> None:
+        """Trace a fill: a staged row, or a child of its open span."""
+        if self.fill_span is None:
+            self._stage(kind, line, node, read_ns, cost)
+        else:
+            self.tracer.fill_child(kind, node, read_ns, cost)
+
+    def _stage(self, kind: int, line: int, node: Optional[str] = None,
+               read_ns: float = 0.0, cost: float = 0.0) -> None:
+        """Stage one traced row (see :meth:`Tracer.record_fills`)."""
+        self.trace_rows.append((kind, line, node, read_ns, cost,
+                                self.clock.now))
+
+    def _flush_trace(self) -> None:
+        """Hand the staged rows to the tracer, in program order, and
+        observe the staged fills' stalls."""
+        rows = self.trace_rows
+        if not rows:
+            return
+        self.tracer.record_fills(rows)
+        observe = self.observe_stall
+        for kind, _, _, _, cost, _ in rows:
+            if kind == ROW_FMEM_FILL or kind == ROW_REMOTE_FILL:
+                observe(cost)
+        rows.clear()
 
     def replay(self, seg_tags: np.ndarray, seg_w: np.ndarray, age0: int,
                stall: float, seq0: int = 0) -> float:
@@ -547,6 +682,10 @@ class _FusedLane:
         coh_ns = self.coh_ns
         fmem_ns = self.fmem_ns
         fmem_exact = self.fmem_ns_exact
+        # Traced lanes replay only without a prefetcher (see miss_gate).
+        tracing = self.tracing
+        stage = self.trace_rows.append
+        clock = self.clock
         prefetch = self.prefetch
         locate = self.locate
         remote_read_ns = self.remote_read_ns
@@ -642,7 +781,11 @@ class _FusedLane:
                             l_put_m += 1
                             self.d_writebacks += 1
                             marks.append(victim_addr)
+                            if tracing:
+                                stage((ROW_WRITEBACK, victim_addr, None,
+                                       0.0, 0.0, clock.now))
                         else:
+                            self._flush_trace()
                             self.directory.put_modified(victim_addr, aid)
                     else:
                         if (ventry is not None
@@ -698,6 +841,9 @@ class _FusedLane:
                     if cap is not None:
                         cap.record(seq_off + age, line, None, 0,
                                    0.0, 0.0, cost)
+                    if tracing:
+                        stage((ROW_FMEM_FILL, line, None, 0.0, cost,
+                               clock.now))
                 elif page_tag in fm_all[fm_sidx := page_tag & fm_set_mask]:
                     residents = pr_get(page_tag)
                     if residents is not None:
@@ -720,7 +866,18 @@ class _FusedLane:
                     if cap is not None:
                         cap.record(seq_off + age, line, None, 0,
                                    0.0, 0.0, cost)
+                    if tracing:
+                        stage((ROW_FMEM_FILL, line, None, 0.0, cost,
+                               clock.now))
                     last_page = page_tag
+                elif tracing:
+                    # A traced remote fetch: staged, or run inside a real
+                    # span when it calls out (see _traced_fill).
+                    if cap is not None:
+                        cap.seq = seq_off + age
+                    self.last_page = last_page
+                    cost = self._traced_fill(line)
+                    last_page = self.last_page
                 else:
                     l_remote += 1
                     if fast_locate:
@@ -911,6 +1068,8 @@ class _FusedLane:
             self._flush_marks()
         mask = self.bitmap.clear_page(victim_page)
         self.d_pages_evicted += 1
+        if self.fill_line is not None and self.fill_span is None and mask:
+            self._open_fill_span()   # the sink records eviction events
         for sink in self.agent._eviction_sinks:
             sink(page_addr, mask)
 
@@ -934,8 +1093,10 @@ class _FusedLane:
 
         Called before maintenance ticks, around generic-path detours,
         and from the engine's ``finally`` so exceptional exits leave
-        the same counter state as the scalar oracle.
+        the same counter state as the scalar oracle.  Staged trace rows
+        go to the tracer here too.
         """
+        self._flush_trace()
         if self.marks or self.d_writebacks:
             self._flush_marks()
         rtc = self.rt.counters
@@ -1029,16 +1190,17 @@ def run_trace_batched(rt: "KonaRuntime", chunks, base: int = 0
     """Execute a stream of ``(addrs, writes)`` chunks; returns
     ``(accumulated stall ns, accesses executed)``.
 
-    State-, counter- and latency-identical to the scalar loop over the
-    concatenated stream, for any chunking, including mid-trace
-    exceptions: an out-of-range address raises :class:`AddressError`
-    after the preceding accesses have fully executed, and back-end
-    failures (e.g. ``NodeFailure``) propagate with the cache state at
-    the failing access exported back.
+    State-, counter-, latency- and trace-identical to the scalar loop
+    over the concatenated stream, for any chunking, including
+    mid-trace exceptions: an out-of-range address raises
+    :class:`AddressError` after the preceding accesses have fully
+    executed, and back-end failures (e.g. ``NodeFailure``) propagate
+    with the cache state at the failing access exported back.  ``rt``
+    must satisfy :meth:`_FusedLane.eligible` (``KonaRuntime`` runs any
+    other runtime on the scalar engine).
 
     The call is the engine session: the front-end is imported on the
-    first vectorized span and exported in the ``finally`` (in between
-    only around an escape to the dict-cache loop), and one float stall
+    first span and exported in the ``finally``, and one float stall
     chain runs through every chunk in program order (see the ordering
     contract on :class:`_FusedLane`).  The chunk iterator must not
     touch ``rt`` while the session holds its CPU-cache state.  ``base``
@@ -1047,49 +1209,30 @@ def run_trace_batched(rt: "KonaRuntime", chunks, base: int = 0
     materialize a rebased copy of the whole trace.
     """
     # Read per call, so the differential tests can force degenerate
-    # dispatch choices by patching the module constants.
-    escape_frac = BATCH_ESCAPE_DENSITY
-    reenter_frac = BATCH_REENTER_HITS
+    # dispatch choices by patching the module constant.
     miss_gate = 1.0 - MISS_REPLAY_DENSITY
     directory = rt.agent.directory
-    front: VectorizedCoherentCache = None
+    front: Optional[VectorizedCoherentCache] = None
     lane: Optional[_FusedLane] = None
-    lane_ok = _FusedLane.eligible(rt)
-    imported = False
-    vector_mode = True
     vf_start, vf_end = rt.vfmem.start, rt.vfmem.end
     tick = rt.obs.tick if rt.obs.sampler is not None else None
     maybe_evict = rt.maybe_evict
-    counters = rt.counters
     # Causal capture numbers faults by global access ordinal: ``base``
     # counts accesses completed before this stream.
     cap = rt._capture
     seq_base = cap.base if cap is not None else 0
     stall = 0.0
-    g = 0   # global position: drives cadence, capture seq, i0
+    g = 0   # global position: drives cadence and capture seq
     try:
         for addrs, writes in chunks:
             n = int(addrs.size)
             for pos in range(0, n, _CHUNK):
                 hi = min(pos + _CHUNK, n)
-                if not vector_mode:
-                    hits0 = counters["cache_hits"]
-                    if cap is not None:
-                        cap.base = seq_base + g
-                    stall = rt._run_trace_scalar(addrs[pos:hi],
-                                                 writes[pos:hi], stall,
-                                                 base=base, i0=g)
-                    hits = counters["cache_hits"] - hits0
-                    vector_mode = hits >= (hi - pos) * reenter_frac
-                    g += hi - pos
-                    continue
-                if not imported:
+                if front is None:
                     front = VectorizedCoherentCache.from_scalar(rt.cpu_cache)
                     front.attach(directory)
                     front.record_mutations = True
-                    imported = True
-                    if lane_ok:
-                        lane = _FusedLane(rt, front, miss_gate)
+                    lane = _FusedLane(rt, front, miss_gate)
                 a = np.asarray(addrs[pos:hi]).astype(np.int64, copy=False)
                 if base:
                     a = a + base
@@ -1097,10 +1240,8 @@ def run_trace_batched(rt: "KonaRuntime", chunks, base: int = 0
                 ok = (a >= vf_start) & (a < vf_end)
                 limit = a.size if ok.all() else int(ok.argmin())
                 tags = a >> _LINE_SHIFT
-                stall, replayed = _run_span(rt, front, tags[:limit],
-                                            w[:limit], g, stall,
-                                            maybe_evict, tick, lane,
-                                            seq_base + g, miss_gate)
+                stall = _run_span(rt, front, lane, tags[:limit], w[:limit],
+                                  g, stall, maybe_evict, tick, seq_base + g)
                 if limit < a.size:
                     # Same behaviour as the scalar loop: every access
                     # before the bad one has executed; the bad one
@@ -1108,24 +1249,14 @@ def run_trace_batched(rt: "KonaRuntime", chunks, base: int = 0
                     raise AddressError(
                         f"{int(a[limit]):#x} is not Kona-managed memory")
                 g += a.size
-                if lane is None and replayed > a.size * escape_frac:
-                    # No fused lane (tracing, extra agents, content
-                    # shadow): mostly-scalar replay is slower than the
-                    # dict-cache loop, so export and run scalar until
-                    # the trace turns hot again.  With the lane,
-                    # replayed misses are faster than the dict path and
-                    # the engine never escapes.
-                    front.record_mutations = False
-                    front.export_to(rt.cpu_cache)
-                    rt.cpu_cache.attach(directory)
-                    imported = False
-                    vector_mode = False
         if cap is not None:
             cap.base = seq_base + g
     finally:
-        if lane is not None:
+        if front is not None:
             lane.flush()
-        if imported:
+            # The session ends: free the lane's memos and the front-end
+            # as the dict cache is rebuilt, so it reuses their memory.
+            lane = None
             front.record_mutations = False
             front.export_to(rt.cpu_cache)
             rt.cpu_cache.attach(directory)
@@ -1133,24 +1264,20 @@ def run_trace_batched(rt: "KonaRuntime", chunks, base: int = 0
 
 
 def _run_span(rt: "KonaRuntime", front: VectorizedCoherentCache,
-              tags: np.ndarray, w: np.ndarray, g_base: int, stall: float,
-              maybe_evict, tick,
-              lane: Optional[_FusedLane] = None,
-              seq0: int = 0, miss_gate: float = 0.5) -> Tuple[float, int]:
+              lane: _FusedLane, tags: np.ndarray, w: np.ndarray,
+              g_base: int, stall: float, maybe_evict, tick,
+              seq0: int) -> float:
     """Run one span, segmented at the maintenance cadence.
 
     The scalar loop runs ``maybe_evict``/``obs.tick`` *after* global
     access ``i`` whenever ``i % 256 == 0``, so each segment extends
     through the next cadence index and maintenance fires at its end;
-    ``g_base`` is the span's global position.  Returns
-    ``(stall, accesses handled by scalar replay)`` — the second value
-    feeds the caller's miss-heavy escape hatch.
+    ``g_base`` is the span's global position.  Returns the stall.
     """
     m = int(tags.size)
     local = 0
-    replayed = 0
     hot = False
-    if lane is not None and m > _CADENCE and not lane.miss_mode:
+    if m > _CADENCE and not lane.miss_mode:
         # Hot-span fast path: classify the whole chunk once and keep
         # the masks alive across cadence boundaries — boundary events
         # and maintenance mutations are patched into the remaining
@@ -1167,27 +1294,22 @@ def _run_span(rt: "KonaRuntime", front: VectorizedCoherentCache,
         cadence = g if g % _CADENCE == 0 else (g // _CADENCE + 1) * _CADENCE
         end = min(cadence - g_base + 1, m)
         if hot:
-            stall = _run_patch(rt, front, tags, w, pure, resident, flat,
-                               ages, local, end, stall, lane, seq0)
+            stall = _run_patch(rt, front, lane, tags, w, pure, resident,
+                               flat, ages, local, end, stall, seq0)
         else:
-            stall, seg_replayed = _run_segment(rt, front, tags[local:end],
-                                               w[local:end],
-                                               front._clock + 1,
-                                               stall, lane, seq0 + local,
-                                               miss_gate)
-            replayed += seg_replayed
+            stall = _run_segment(rt, front, lane, tags[local:end],
+                                 w[local:end], front._clock + 1, stall,
+                                 seq0 + local)
         front._clock += end - local
         if (g_base + end - 1) % _CADENCE == 0:
-            if lane is not None:
-                # Maintenance reads gauges (counters, bitmap, FMem
-                # stats); every batched delta must be visible first.
-                # Watermark reclaim drains pages through the lane's
-                # vectorized snoop instead of the per-line scalar one.
-                lane.flush()
-                if maybe_evict(evict_page=lane.drain_page_addr):
-                    lane.flush()   # reclaim deltas, before the sampler tick
-            else:
-                maybe_evict()
+            # Maintenance reads gauges (counters, bitmap, FMem stats)
+            # and the tracer; every batched delta and staged trace row
+            # must be visible first.  Watermark reclaim drains pages
+            # through the lane's vectorized snoop instead of the
+            # per-line scalar one.
+            lane.flush()
+            if maybe_evict(evict_page=lane.drain_page_addr):
+                lane.flush()   # reclaim deltas, before the sampler tick
             if hot and end < m and front._mutations:
                 # Proactive eviction may have snooped lines out of the
                 # CPU cache; fold the journal into the live span masks.
@@ -1199,47 +1321,41 @@ def _run_span(rt: "KonaRuntime", front: VectorizedCoherentCache,
             if tick is not None:
                 tick()
         local = end
-    return stall, replayed
+    return stall
 
 
 def _run_segment(rt: "KonaRuntime", front: VectorizedCoherentCache,
-                 seg_tags: np.ndarray, seg_w: np.ndarray, age0: int,
-                 stall: float,
-                 lane: Optional[_FusedLane] = None,
-                 seq0: int = 0, miss_gate: float = 0.5) -> Tuple[float, int]:
+                 lane: _FusedLane, seg_tags: np.ndarray, seg_w: np.ndarray,
+                 age0: int, stall: float, seq0: int) -> float:
     """Bulk-resolve pure-hit runs; replay each boundary event.
 
-    Returns ``(stall, accesses handled by scalar replay)``.
+    Returns the stall.
     """
     length = int(seg_tags.size)
-    if lane is not None and lane.miss_mode:
+    if lane.miss_mode:
         # Sticky miss mode: the previous replayed segment ran at
         # effectively zero hits, so skip classification entirely;
         # replay re-opens the gate as soon as a segment's realized hit
         # fraction crosses it.  Result-identical to the classified
         # dispatch (both paths are bit-exact).
-        return lane.replay(seg_tags, seg_w, age0, stall, seq0), length
+        return lane.replay(seg_tags, seg_w, age0, stall, seq0)
     pure, resident, flat = front.classify(seg_tags, seg_w)
-    if int(pure.sum()) < length * miss_gate:
+    if int(pure.sum()) < length * lane.miss_gate:
         # Miss-heavy segment: the run/patch machinery would pay its
         # numpy overhead on nearly every access for no bulk win, so
         # replay the segment access-by-access against the front-end's
         # tag map — same events, same order, same counters.
-        if lane is not None:
-            return lane.replay(seg_tags, seg_w, age0, stall,
-                               seq0), length
-        return _replay_segment(rt, front, seg_tags, seg_w, age0,
-                               stall, seq0), length
+        return lane.replay(seg_tags, seg_w, age0, stall, seq0)
     ages = np.arange(age0, age0 + length, dtype=np.int64)
-    return _run_patch(rt, front, seg_tags, seg_w, pure, resident, flat,
-                      ages, 0, length, stall, lane, seq0), 0
+    return _run_patch(rt, front, lane, seg_tags, seg_w, pure, resident,
+                      flat, ages, 0, length, stall, seq0)
 
 
 def _run_patch(rt: "KonaRuntime", front: VectorizedCoherentCache,
-               tags: np.ndarray, w: np.ndarray, pure: np.ndarray,
-               resident: np.ndarray, flat: np.ndarray, ages: np.ndarray,
-               start: int, end: int, stall: float,
-               lane: Optional[_FusedLane], seq0: int = 0) -> float:
+               lane: _FusedLane, tags: np.ndarray, w: np.ndarray,
+               pure: np.ndarray, resident: np.ndarray, flat: np.ndarray,
+               ages: np.ndarray, start: int, end: int, stall: float,
+               seq0: int) -> float:
     """Run/patch ``[start, end)`` of a classified window.
 
     Bulk-resolves pure-hit runs; each boundary event is dispatched off
@@ -1253,10 +1369,7 @@ def _run_patch(rt: "KonaRuntime", front: VectorizedCoherentCache,
     True-direction patches were two full-tail array ops per event).
     """
     counters = rt.counters
-    agent = rt.agent
     account = rt.account
-    tracer = rt.obs.tracer
-    hist = rt._stall_hist
     tm_get = front._tag_map.get
     state_f = front._state_f
     age_f = front._age_f
@@ -1297,33 +1410,18 @@ def _run_patch(rt: "KonaRuntime", front: VectorizedCoherentCache,
             # Resident but not writable on a write: upgrade (S/O -> M).
             if cap is not None:
                 cap.seq = seq0 + p   # a rare generic re-fill records
-            if lane is not None:
-                lane.upgrade(tag, age)
-                lane.d_cache_hits += 1
-            else:
-                front.upgrade(tag << _LINE_SHIFT, age)
-                counters.add("cache_hits")
+            lane.upgrade(tag, age)
+            lane.d_cache_hits += 1
             if front._mutations:
                 _patch_mutations(front, tags[p + 1:], w[p + 1:],
                                  pure[p + 1:], resident[p + 1:])
         else:
             if cap is not None:
                 cap.seq = seq0 + p
-            if lane is not None:
-                victim_tag, code, fill_flat, cost = lane.miss(
-                    tag, isw, age)
-                stall += cost
-                account.charge("memory_stall", cost)
-                lane.d_cache_misses += 1
-            else:
-                victim_tag, code, fill_flat = front.miss_fill(
-                    tag << _LINE_SHIFT, isw, age)
-                cost = agent.last_access_ns
-                stall += cost
-                account.charge("memory_stall", cost)
-                counters.add("cache_misses")
-                if tracer.enabled:
-                    hist.observe(cost)
+            victim_tag, _, _, cost = lane.miss(tag, isw, age)
+            stall += cost
+            account.charge("memory_stall", cost)
+            lane.d_cache_misses += 1
             # The victim left: any later access still marked as a pure
             # hit on it must fall back to the event path.
             if victim_tag is not None:
@@ -1344,65 +1442,6 @@ def _run_patch(rt: "KonaRuntime", front: VectorizedCoherentCache,
 #: ``_WRITABLE`` as a Python tuple (state codes I/S/E/O/M) — scalar
 #: indexing in the replay loop without numpy scalar boxing.
 _WRITABLE_PY = tuple(bool(x) for x in _WRITABLE)
-
-
-def _replay_segment(rt: "KonaRuntime", front: VectorizedCoherentCache,
-                    seg_tags: np.ndarray, seg_w: np.ndarray, age0: int,
-                    stall: float, seq0: int = 0) -> float:
-    """Scalar replay of one segment against the vectorized front-end.
-
-    Functionally identical to the run/patch path (``front``'s scalar
-    methods mirror ``CoherentCache.access`` exactly); chosen when a
-    segment classifies as mostly misses.  Counters are accumulated and
-    added once — totals, not call counts, are what the scalar path's
-    counters hold.
-    """
-    counters = rt.counters
-    agent = rt.agent
-    account = rt.account
-    tracer = rt.obs.tracer
-    hist = rt._stall_hist
-    tag_map = front._tag_map
-    state_f = front._state_f
-    age_f = front._age_f
-    cap = rt._capture
-    seq_off = seq0 - age0
-    hits = 0
-    misses = 0
-    age = age0 - 1
-    for tag, isw in zip(seg_tags.tolist(), seg_w.tolist()):
-        age += 1
-        flat = tag_map.get(tag, -1)
-        if flat >= 0:
-            if not isw or _WRITABLE_PY[state_f[flat]]:
-                if isw:
-                    state_f[flat] = MODIFIED
-                age_f[flat] = age
-                hits += 1
-                continue
-            if cap is not None:
-                cap.seq = seq_off + age
-            front.upgrade(tag << _LINE_SHIFT, age)
-            counters.add("cache_hits")
-            continue
-        if cap is not None:
-            cap.seq = seq_off + age
-        front.miss_fill(tag << _LINE_SHIFT, isw, age)
-        cost = agent.last_access_ns
-        stall += cost
-        account.charge("memory_stall", cost)
-        misses += 1
-        if tracer.enabled:
-            hist.observe(cost)
-    if hits:
-        front.counters.add("hits", hits)
-        counters.add("cache_hits", hits)
-    if misses:
-        counters.add("cache_misses", misses)
-    # Nothing to patch in this mode; drop any snoop journal entries so
-    # they don't leak into the next (reclassified) segment.
-    front._mutations.clear()
-    return stall
 
 
 def _patch_mutations(front: VectorizedCoherentCache, rem_tags: np.ndarray,

@@ -40,7 +40,7 @@ from ..obs import FlightRecorder, traced
 from ..vm.swap import ExecutionReport
 from .alloclib import AllocLib
 from .config import KonaConfig
-from .engine import run_trace_batched
+from .engine import _FusedLane, run_trace_batched
 from .eviction import EvictionHandler
 from .failures import FailureManager, FallbackMode, MachineCheckException
 from .health import HealthMonitor, HealthState
@@ -481,7 +481,7 @@ class KonaRuntime:
         cap = self._capture
         if cap is not None:
             # Scalar path: each access is the next global ordinal.  The
-            # batched engine manages ``base`` around scalar stretches so
+            # batched engine advances ``base`` by its stream length, so
             # both engines number faults identically.
             cap.seq = cap.base
             cap.base += 1
@@ -552,14 +552,16 @@ class KonaRuntime:
     def _resolve_engine(self, engine: str) -> str:
         """Validate a trace-replay engine name; the one actually run.
 
-        With a data plane attached the batched engine downgrades to
-        scalar: the data plane versions writes per access, and the
-        batched front-end bulk-resolves hits and would skip them.
+        The batched engine runs only where its fused miss lane's proofs
+        hold (:meth:`repro.kona.engine._FusedLane.eligible`); anywhere
+        else — a data plane, which versions writes per access, or an
+        extra directory agent, observer or eviction sink — it downgrades
+        to scalar.
         """
         if engine not in ENGINES:
             raise ConfigError(f"unknown run_trace engine {engine!r}; "
                               f"choose one of {', '.join(ENGINES)}")
-        if engine == "batched" and self.content is not None:
+        if engine == "batched" and not _FusedLane.eligible(self):
             return "scalar"
         return engine
 
@@ -620,8 +622,8 @@ class KonaRuntime:
 
         Iterates the trace in fixed-size chunks so large traces never
         materialize whole-array ``tolist`` copies.  ``stall`` seeds the
-        accumulator so a caller (streamed chunks, the batched engine's
-        scalar stretches) can continue one float-accumulation chain —
+        accumulator so a caller (the streamed-chunk loop) can continue
+        one float-accumulation chain —
         float addition is not associative, and the engines must agree
         bit for bit.  ``i0`` is the stream position of ``addrs[0]``,
         which keeps the maintenance cadence global.

@@ -21,6 +21,12 @@ clock.  Two realities of this codebase shape the design:
 Events are bounded by ``max_events``; once full, new events are counted
 as dropped rather than recorded, so a runaway campaign cannot eat the
 heap.
+
+Hot loops that cannot afford a ``Span`` per event stage plain rows
+instead and hand them over in bulk: :meth:`Tracer.record_fills` turns
+staged demand-fill rows into exactly the events the span API would have
+recorded, applying the same cursor rule and ``max_events`` limit, so the
+event format stays defined here.
 """
 
 from __future__ import annotations
@@ -28,10 +34,34 @@ from __future__ import annotations
 import functools
 from typing import Any, Callable, Dict, List, Optional
 
+from ..common import units
 from ..common.clock import SimClock
 
 #: One trace event, Chrome trace-event flavoured, timestamps in ns.
 Event = Dict[str, Any]
+
+#: Row kinds of :meth:`Tracer.record_fills`: a demand fill served from
+#: FMem or from a memory node, or a coherence instant.
+ROW_FMEM_FILL = 0
+ROW_REMOTE_FILL = 1
+ROW_WRITEBACK = 2
+ROW_UPGRADE = 3
+
+_INSTANT_NAMES = {ROW_WRITEBACK: "coherence.writeback",
+                  ROW_UPGRADE: "coherence.upgrade"}
+
+#: The demand-fill event format, for every path that records one
+#: (:meth:`Tracer.fill_span`/:meth:`Tracer.fill_child` and
+#: :meth:`Tracer.record_fills`): a ``fetch.fill`` span with args
+#: ``line`` and ``critical_ns`` around one child, the ``fetch.fmem_hit``
+#: of an FMem hit or the ``rdma.read`` (args ``node``, ``nbytes``) of a
+#: remote fetch.
+_FILL = ("fetch.fill", "fetch")
+_FILL_CHILD = {ROW_FMEM_FILL: ("fetch.fmem_hit", "fetch"),
+               ROW_REMOTE_FILL: ("rdma.read", "rdma")}
+
+#: A demand fill's critical-path read is one cache line.
+_LINE_BYTES = units.CACHE_LINE
 
 
 class _NullSpan:
@@ -197,6 +227,94 @@ class Tracer:
             return
         self._record({"name": name, "cat": "counter", "ph": "C",
                       "ts": self._now(), "args": dict(values)})
+
+    def fill_span(self, line: int):
+        """The span of one demand fill of ``line``, to be entered; see
+        :meth:`charge_fill` and :meth:`fill_child`."""
+        name, cat = _FILL
+        return self.span(name, cat, line=line)
+
+    @staticmethod
+    def charge_fill(span, cost: float) -> None:
+        """Charge an open fill span its critical-path ``cost``."""
+        span.extend(cost)
+        span.set(critical_ns=round(cost, 1))
+
+    def fill_child(self, kind: int, node: Optional[str], read_ns: float,
+                   cost: float) -> None:
+        """Record the open fill span's child: an FMem hit of ``cost``
+        (:data:`ROW_FMEM_FILL`) or a line read of ``read_ns`` from
+        memory node ``node`` (:data:`ROW_REMOTE_FILL`)."""
+        name, cat = _FILL_CHILD[kind]
+        if kind == ROW_FMEM_FILL:
+            self.emit(name, cost, cat)
+        else:
+            self.emit(name, read_ns, cat, node=node, nbytes=_LINE_BYTES)
+
+    def record_fills(self, rows: List[tuple]) -> None:
+        """Record staged demand-fill rows as the events the per-event
+        path records for them, in row order.
+
+        A row is ``(kind, line, node, read_ns, cost, now)`` at sim time
+        ``now``: a ``fetch.fill`` span of critical cost ``cost`` with
+        its ``fetch.fmem_hit`` child (``kind`` :data:`ROW_FMEM_FILL`)
+        or its ``rdma.read`` child of ``read_ns`` from memory node
+        ``node`` (:data:`ROW_REMOTE_FILL`), or a
+        ``coherence.writeback``/``coherence.upgrade`` instant.  The
+        result — events, timestamps, cursor, ``max_events`` drops — is
+        exactly what ``span``/``emit``/``instant`` would leave, provided
+        no other event was recorded between the rows.
+        """
+        outer = self._stack[-1] if self._stack else None
+        cursor = outer.cursor if outer is not None else self._cursor
+        out: List[Event] = []
+        append = out.append
+        # Fill costs, and so the spans' durations and rounded costs,
+        # take few distinct values: events share one float object per
+        # value instead of holding a private copy each.
+        share = {}.setdefault
+        rounded: Dict[float, float] = {}
+        fill_name, fill_cat = _FILL
+        hit_name, hit_cat = _FILL_CHILD[ROW_FMEM_FILL]
+        read_name, read_cat = _FILL_CHILD[ROW_REMOTE_FILL]
+        for kind, line, node, read_ns, cost, now in rows:
+            # ``max`` spelled out (it keeps the first of equal values).
+            start = now if now > cursor else cursor
+            # The child is emitted at the open span's cursor (``start``)
+            # and advances it; the span closes at the furthest of the
+            # clock (never past ``start``), that cursor and its charged
+            # cost — ``start`` plus the larger of the two durations, as
+            # float addition is monotonic.
+            if kind == ROW_FMEM_FILL:
+                dur = 0.0 if 0.0 > cost else cost
+                append({"name": hit_name, "cat": hit_cat,
+                        "ph": "X", "ts": start, "dur": dur})
+            elif kind == ROW_REMOTE_FILL:
+                dur = share(read_ns, 0.0 if 0.0 > read_ns else read_ns)
+                append({"name": read_name, "cat": read_cat, "ph": "X",
+                        "ts": start, "dur": dur,
+                        "args": {"node": node, "nbytes": _LINE_BYTES}})
+            else:
+                append({"name": _INSTANT_NAMES[kind], "cat": "coherence",
+                        "ph": "i", "ts": start, "s": "p",
+                        "args": {"line": line}})
+                continue
+            charged = 0.0 + cost if cost > 0 else 0.0
+            cursor = start + (charged if charged > dur else dur)
+            dur = cursor - start
+            critical = rounded.get(cost)
+            if critical is None:
+                critical = rounded[cost] = round(cost, 1)
+            append({"name": fill_name, "cat": fill_cat, "ph": "X",
+                    "ts": start, "dur": share(dur, dur),
+                    "args": {"line": line, "critical_ns": critical}})
+        if outer is not None:
+            outer.cursor = cursor
+        else:
+            self._cursor = cursor
+        room = max(self.max_events - len(self.events), 0)
+        self.events.extend(out[:room])
+        self.dropped += max(len(out) - room, 0)
 
     def flow(self, name: str, flow_id: int, phase: str = "s",
              cat: str = "flow", ts: Optional[float] = None,

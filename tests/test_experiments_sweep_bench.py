@@ -11,6 +11,7 @@ from repro.common.errors import ConfigError, SimulationError
 from repro.experiments import bench
 from repro.experiments.bench import (
     BENCH_FILENAME,
+    MISS_HEAVY_BUDGETS,
     MODE_BUDGETS,
     RUNTIME_MODES,
     BenchCase,
@@ -177,18 +178,20 @@ class TestRuntimeModeRunner:
             run_runtime_case(SMALL_RUNTIME_CASE, runs=1)
 
 
-def _mode_payload(workload="hot-mix", **overheads):
-    """A hand-built runtime bench payload, every overhead at budget."""
+def _mode_payload(workload="hot-mix", quick=False, **overheads):
+    """A hand-built runtime bench payload, every overhead at its
+    hot-mix budget unless given."""
     row = {"workload": workload, "speedup": 9.0, "counters_match": True}
     for name, budget in MODE_BUDGETS.items():
         row[name] = {"overhead": overheads.get(name, budget)}
-    return {"canonical_speedup": 9.0, "cases": [row]}
+    return {"canonical_speedup": 9.0, "quick": quick, "cases": [row]}
 
 
 class TestModeBudgetGate:
     def test_budgets(self):
         assert MODE_BUDGETS == {"capture": 1.15, "fleet": 1.15,
-                                "tracing": 2.0}
+                                "tracing": 1.25}
+        assert MISS_HEAVY_BUDGETS == {"tracing": 2.5}
 
     def test_exactly_at_budget_passes(self):
         assert check_speedup(_mode_payload()) == []
@@ -201,8 +204,27 @@ class TestModeBudgetGate:
         assert "1.15x budget" in failures[0]
 
     def test_tracing_over_budget_fails(self):
-        failures = check_speedup(_mode_payload(tracing=2.01))
-        assert len(failures) == 1 and "tracing overhead" in failures[0]
+        failures = check_speedup(_mode_payload(tracing=1.26))
+        assert len(failures) == 1
+        assert "hot-mix tracing overhead 1.260x" in failures[0]
+        assert "1.25x budget" in failures[0]
+
+    @pytest.mark.parametrize("label, quick", [("page-rank-miss", True),
+                                              ("page-rank", False)])
+    def test_miss_heavy_tracing_at_and_over_budget(self, label, quick):
+        assert check_speedup(_mode_payload(label, quick,
+                                           tracing=2.5)) == []
+        failures = check_speedup(_mode_payload(label, quick,
+                                               tracing=2.51))
+        assert len(failures) == 1
+        assert f"{label} tracing overhead 2.510x" in failures[0]
+        assert "2.50x budget" in failures[0]
+
+    def test_quick_short_page_rank_row_is_not_gated(self):
+        # The quick suite's 60k page-rank row is reported only; its
+        # gated miss-heavy row is page-rank-miss.
+        assert check_speedup(_mode_payload("page-rank", True,
+                                           tracing=3.0)) == []
 
     def test_fingerprint_mismatch_fails(self):
         payload = _mode_payload()
@@ -211,8 +233,10 @@ class TestModeBudgetGate:
         assert len(failures) == 1 and "fingerprints diverged" in failures[0]
 
     def test_miss_heavy_rows_are_reported_not_gated(self):
-        payload = _mode_payload("page-rank-miss", capture=1.25,
-                                fleet=1.44, tracing=3.4)
+        # Capture and fleet are gated on hot-mix only; a miss-heavy
+        # row's tracing within its budget passes.
+        payload = _mode_payload("page-rank-miss", True, capture=1.25,
+                                fleet=1.44, tracing=2.0)
         assert check_speedup(payload) == []
 
 

@@ -7,7 +7,8 @@ coherence protocols, prefetch policies, observability settings, and a
 mid-trace node-failure campaign.  Miss-heavy traces, which the batched
 engine replays through its fused miss lane, additionally compare
 merged causal ``FaultLog`` aggregates with capture on, and hold across
-monolithic vs streamed vs sharded replay.
+monolithic vs streamed vs sharded replay.  With the span tracer on,
+the recorded events, drops and stall histogram must match as well.
 """
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 
 import repro.common.units as u
 from repro.coherence.vectorized import VectorizedCoherentCache
-from repro.common.errors import AddressError, ConfigError
+from repro.common.errors import AddressError, ConfigError, TranslationError
 from repro.experiments.bench import (RUNTIME_QUICK_CASES, check_speedup,
                                      runtime_fingerprint)
 from repro.experiments.chaos import (REGION_BYTES, build_chaos_runtime,
@@ -317,6 +318,13 @@ class TestMissHeavy:
         assert_miss_identical(lambda: miss_heavy_trace(10_000, 17),
                               fmem_capacity=1 * u.MB)
 
+    def test_msi_shared_copy_outlives_its_page(self):
+        # Under MSI a read fill grants S; the S copy survives its FMem
+        # page's drain, is upgraded to M while the page is away, and
+        # must be snooped when the page is drained again.
+        assert_miss_identical(lambda: miss_heavy_trace(MISS_N, 19),
+                              protocol="msi", fmem_capacity=2 * u.MB)
+
     def test_sticky_miss_mode_skips_classification(self, monkeypatch):
         # A miss-heavy stretch, then a hot tail over the same hot lines.
         # While segments replay at near-zero hits the lane stays in
@@ -392,6 +400,156 @@ class TestMissHeavyChaos:
         assert out["batched"] == out["scalar"]
 
 
+def traced_observation(rt):
+    """What tracing leaves behind: the span events, the drop count, the
+    per-miss stall histogram (exact count/sum/min/max, buckets) and the
+    spans still open (none once a run returns)."""
+    tracer = rt.obs.tracer
+    hist = rt._stall_hist
+    return {"events": tracer.events, "dropped": tracer.dropped,
+            "stall_hist": (hist.count, hist.sum, hist.min, hist.max,
+                           hist.buckets()),
+            "open_spans": len(tracer._stack)}
+
+
+def assert_traced_identical(make_runtime, make_trace):
+    """Traced batched and traced scalar runs agree on the fingerprint
+    and on every event, drop and stall observation."""
+    got = {}
+    for engine in ("scalar", "batched"):
+        rt = make_runtime()
+        addrs, writes = make_trace(rt)
+        report = rt.run_trace(addrs, writes, engine=engine)
+        got[engine] = (runtime_fingerprint(rt, report),
+                       traced_observation(rt))
+    scalar, batched = got["scalar"], got["batched"]
+    assert scalar[1]["events"], "the traced run recorded no events"
+    assert batched[0] == scalar[0]
+    assert batched[1]["dropped"] == scalar[1]["dropped"]
+    assert batched[1]["stall_hist"] == scalar[1]["stall_hist"]
+    assert batched[1]["events"] == scalar[1]["events"]
+    assert batched[1]["open_spans"] == scalar[1]["open_spans"] == 0
+    return scalar[1]
+
+
+def traced_runtime(cpu_cache_capacity=8 * u.MB, max_events=500_000,
+                   sample_interval_ns=None, **overrides):
+    def make():
+        rec = FlightRecorder(tracing=True, max_events=max_events,
+                             sample_interval_ns=sample_interval_ns)
+        defaults = dict(fmem_capacity=8 * u.MB, vfmem_capacity=256 * u.MB,
+                        slab_bytes=16 * u.MB)
+        defaults.update(overrides)
+        return KonaRuntime(KonaConfig(**defaults), app_ns_per_access=70.0,
+                           cpu_cache_capacity=cpu_cache_capacity,
+                           recorder=rec)
+    return make
+
+
+def event_names(observed):
+    return {event["name"] for event in observed["events"]}
+
+
+class TestTracedDifferential:
+    """Span tracing on: batched must record exactly the scalar events."""
+
+    def test_page_rank(self):
+        seen = assert_traced_identical(traced_runtime(),
+                                       workload_trace("page-rank", 8_000))
+        assert {"fetch.fill", "fetch.fmem_hit",
+                "rdma.read"} <= event_names(seen)
+
+    def test_voltdb_tpcc_small_cpu_cache(self):
+        # A 256 KB CPU cache evicts dirty lines (writeback instants)
+        # and dirty FMem victims open evict.page spans inside fills.
+        seen = assert_traced_identical(
+            traced_runtime(cpu_cache_capacity=256 * u.KB),
+            workload_trace("voltdb-tpcc", 8_000))
+        assert {"coherence.writeback", "evict.page"} <= event_names(seen)
+
+    def test_msi_upgrades(self):
+        # MSI read fills grant S, so writes to resident lines upgrade
+        # (upgrade instants between staged fills).
+        def make_trace(rt):
+            region = rt.mmap(MISS_REGION)
+            addrs, writes = miss_heavy_trace(MISS_N, 19)
+            return addrs + np.int64(region.start), writes
+        seen = assert_traced_identical(
+            traced_runtime(cpu_cache_capacity=256 * u.KB, protocol="msi",
+                           fmem_capacity=2 * u.MB),
+            make_trace)
+        assert {"coherence.writeback", "coherence.upgrade",
+                "evict.page"} <= event_names(seen)
+
+    def test_hot_mix_with_sampler(self):
+        seen = assert_traced_identical(
+            traced_runtime(sample_interval_ns=10_000.0),
+            mapped_hot_trace())
+        assert any(event["ph"] == "C" for event in seen["events"])
+
+    def test_prefetch_next_page(self):
+        seen = assert_traced_identical(
+            traced_runtime(prefetch_next_page=True, fmem_capacity=2 * u.MB),
+            workload_trace("page-rank", 6_000))
+        assert "fetch.prefetch" in event_names(seen)
+
+    def test_unbacked_address_raises_identically(self):
+        # A VFMem line with no remote backing fails its fill's locate:
+        # both engines raise and keep the cost-less fetch.fill span.
+        out = {}
+        for engine in ("scalar", "batched"):
+            rt = traced_runtime()()
+            addrs, writes = workload_trace("page-rank", 3_000)(rt)
+            addrs = addrs.astype(np.int64)
+            addrs[2_000] = rt.vfmem.end - 4096
+            with pytest.raises(TranslationError):
+                rt.run_trace(addrs, writes, engine=engine)
+            out[engine] = (traced_observation(rt), rt.counters.as_dict(),
+                           rt.agent.counters.as_dict())
+        assert out["batched"] == out["scalar"]
+        assert "critical_ns" not in out["scalar"][0]["events"][-1]["args"]
+
+    def test_node_failure_between_spans(self):
+        # A crashed memory node: remote fills take the failure-aware
+        # locate inside real spans (the replica failover's health
+        # instant nests under its fill), then the node recovers.
+        out = {}
+        for engine in ("scalar", "batched"):
+            cfg = KonaConfig(fmem_capacity=4 * u.MB, vfmem_capacity=64 * u.MB,
+                             slab_bytes=16 * u.MB, replication_factor=2,
+                             retry_seed=0)
+            rt = KonaRuntime(cfg, num_memory_nodes=2, app_ns_per_access=70.0,
+                             recorder=FlightRecorder(tracing=True))
+            rt.failures.coherence_timeout_ns = 10_000.0
+            region = rt.mmap(16 * u.MB)
+            addrs, writes = miss_heavy_trace(9_000, 23,
+                                             region_bytes=16 * u.MB)
+            addrs = addrs + np.int64(region.start)
+            spans = np.array_split(np.arange(addrs.size), 3)
+            rt.run_trace(addrs[spans[0]], writes[spans[0]], engine=engine)
+            rt.fabric.fail_node("mem0")
+            rt.controller.node("mem0").fail()
+            rt.run_trace(addrs[spans[1]], writes[spans[1]], engine=engine)
+            rt.fabric.recover_node("mem0")
+            rt.controller.node("mem0").recover()
+            rt.recover()
+            report = rt.run_trace(addrs[spans[2]], writes[spans[2]],
+                                  engine=engine)
+            out[engine] = (runtime_fingerprint(rt, report),
+                           traced_observation(rt))
+        assert out["batched"] == out["scalar"]
+        assert out["scalar"][1]["open_spans"] == 0
+        assert {"health.DEGRADED", "fetch.fill"} <= event_names(
+            out["scalar"][1])
+
+    def test_drops_mid_run(self):
+        seen = assert_traced_identical(
+            traced_runtime(max_events=3_000, fmem_capacity=2 * u.MB),
+            workload_trace("page-rank", 6_000))
+        assert seen["dropped"] > 0
+        assert len(seen["events"]) == 3_000
+
+
 class TestStreamedAndSharded:
     def test_streamed_chunks_identical_to_monolithic(self):
         addrs0, writes = miss_heavy_trace(12_000, 29)
@@ -448,12 +606,40 @@ class TestConfigKnobs:
     def test_hysteresis_knobs_are_honored(self, monkeypatch):
         # Degenerate thresholds flip the adaptive engine's mode
         # choices, but bit-identity with the oracle must hold at any
-        # setting — the knobs steer speed, never results.
+        # setting — the knob steers speed, never results.
         for density in (0.01, 1.0):
             monkeypatch.setattr(engine_mod, "MISS_REPLAY_DENSITY", density)
-            monkeypatch.setattr(engine_mod, "BATCH_ESCAPE_DENSITY", density)
-            monkeypatch.setattr(engine_mod, "BATCH_REENTER_HITS", 0.0)
             assert_miss_identical(lambda: miss_heavy_trace(4_000, 41))
+
+
+class TestEngineDowngrade:
+    @pytest.mark.parametrize("extra", ["agent", "eviction_sink"])
+    def test_foreign_topology_runs_scalar(self, monkeypatch, extra):
+        # A second caching agent breaks the fused lane's single-agent
+        # proofs, and an extra eviction sink may record events the
+        # lane would stage away, so engine="batched" runs the scalar
+        # oracle: the vectorized front-end is never imported.
+        imports = []
+        from_scalar = VectorizedCoherentCache.from_scalar.__func__
+
+        def counting(cls, cache):
+            imports.append(cache)
+            return from_scalar(cls, cache)
+
+        monkeypatch.setattr(VectorizedCoherentCache, "from_scalar",
+                            classmethod(counting))
+        got = {}
+        for engine in ("scalar", "batched"):
+            rt = build_runtime()
+            if extra == "agent":
+                rt.agent.directory.register_agent(7, lambda line: False)
+            else:
+                rt.agent.on_page_eviction(lambda page, mask: None)
+            addrs, writes = workload_trace("page-rank")(rt)
+            report = rt.run_trace(addrs, writes, engine=engine)
+            got[engine] = runtime_fingerprint(rt, report)
+        assert got["batched"] == got["scalar"]
+        assert imports == []
 
 
 class TestPerfGateFloors:

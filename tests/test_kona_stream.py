@@ -96,8 +96,8 @@ class TestStreamEqualsMonolithic:
 
 def _phased_trace(n=12_000, seed=0, region=8 * units.MB):
     """Alternating hot and cold phases: hot spans, miss-heavy stretches
-    (sticky miss mode, escapes to the dict-cache loop without the
-    fused lane), FMem page drains and watermark reclaims."""
+    (sticky miss mode; traced fills staged or in real spans), FMem page
+    drains and watermark reclaims."""
     rng = np.random.default_rng(seed)
     region_lines = region // units.CACHE_LINE
     cold_p = np.where((np.arange(n) // 2000) % 2 == 0, 0.01, 0.9)
@@ -125,12 +125,15 @@ def _random_sizes(rng, n):
     return sizes
 
 
-def _observed_run(mode, capture, addrs, writes, sizes):
+def _observed_run(mode, capture, addrs, writes, sizes, tracing=None):
     """Replay ``addrs`` cut into ``sizes`` and return everything
     observable: the fingerprint, the gauge row sampled at every
-    maintenance tick, and the causal fault aggregate."""
-    recorder = FlightRecorder(tracing=mode == "traced",
-                              sample_interval_ns=1.0)
+    maintenance tick, the causal fault aggregate and the span events.
+    ``tracing`` overrides the mode's tracer switch (a traced scalar
+    oracle)."""
+    if tracing is None:
+        tracing = mode == "traced"
+    recorder = FlightRecorder(tracing=tracing, sample_interval_ns=1.0)
     cfg = KonaConfig(fmem_capacity=1 * units.MB,
                      vfmem_capacity=32 * units.MB,
                      slab_bytes=16 * units.MB)
@@ -146,7 +149,8 @@ def _observed_run(mode, capture, addrs, writes, sizes):
     report = rt.run_trace_stream(_chunks(addrs, writes, sizes),
                                  engine=engine, base=region.start)
     return (runtime_fingerprint(rt, report), recorder.sampler.samples,
-            cap.log.aggregate() if cap is not None else None)
+            cap.log.aggregate() if cap is not None else None,
+            recorder.tracer.events)
 
 
 class TestStallSummationOrderingProperty:
@@ -170,6 +174,11 @@ class TestStallSummationOrderingProperty:
         oracle = _observed_run("scalar", capture, addrs, writes,
                                [addrs.size])
         assert oracle[1], "no maintenance tick was sampled"
+        events = oracle[3]
+        if mode == "traced":
+            events = _observed_run("scalar", capture, addrs, writes,
+                                   [addrs.size], tracing=True)[3]
+            assert events, "the traced oracle recorded no events"
         rng = np.random.default_rng(seed + 100)
         for _ in range(2):
             sizes = _random_sizes(rng, addrs.size)
@@ -178,6 +187,7 @@ class TestStallSummationOrderingProperty:
             assert got[0]["elapsed_ns"] == oracle[0]["elapsed_ns"]
             assert got[1] == oracle[1]
             assert got[2] == oracle[2]
+            assert got[3] == events
 
     def test_one_front_import_per_stream(self, monkeypatch):
         # One batched stream is one engine session: the vectorized
